@@ -27,13 +27,12 @@ from .geometry import parametrize_basic, sample_piece
 from .monomialize import (
     CapExceeded,
     EngineOptions,
-    MonomialisationReport,
     PrecisionExhausted,
     division_chain,
     monomialize,
 )
 from .parser import ParseError, parse_basic_set, parse_file, parse_series
-from .series import SeriesError, Signature
+from .series import SeriesError
 from .trees import palette_from_spec
 
 EXIT_OK = 0

@@ -22,7 +22,6 @@ from .series import (
     insert_y,
     invert_unit,
     nth_root_rational,
-    order_in_y,
     partial_y,
     set_y_to_zero,
     substitute_y,

@@ -12,42 +12,23 @@ holds identically (by the sign of the leaf normal forms).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
 from .parser import BasicSetExpr
 from .series import (
     Series,
-    SeriesError,
     Signature,
     evaluate,
     render,
     set_x_to_zero,
     set_y_to_zero,
 )
-from .monomialize import (
-    DivisionChainResult,
-    EngineError,
-    EngineOptions,
-    division_chain,
-    normal_form,
-)
-from .transforms import (
-    ElementaryTransform,
-    chain_to_json,
-    forward_chain,
-    inverse_chain,
-    pullback_chain,
-)
-from .trees import AdmissibleTree
+from .monomialize import EngineOptions, NormalForm, division_chain
+from .transforms import chain_to_json, forward_chain, inverse_chain
 
 ZERO, POS, NEG = "zero", "pos", "neg"
-
-
-class GeometryError(SeriesError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -68,20 +49,19 @@ def enumerate_subquadrants(sig: Signature):
             yield SubQuadrant(xs, ys)
 
 
-def _sign_on_quadrant(factor: dict, quad: SubQuadrant) -> Optional[int]:
+def _sign_on_quadrant(factor: Optional[NormalForm], quad: SubQuadrant) -> int:
     """Sign (+1, -1, or 0) of a normal factor on a small sub-quadrant.
 
-    ``factor`` is a leaf record from a division chain: a monomial exponent,
-    plus the constant term sign of the unit.  Returns 0 when the factor
-    vanishes identically on the quadrant."""
-    if factor["kind"] == "zero":
+    ``factor`` is a leaf normal form from a division chain, ``None`` for a
+    factor that pulls back to zero.  Returns 0 when the factor vanishes
+    identically on the quadrant."""
+    if factor is None:
         return 0
-    xs = [Fraction(v) for v in factor["monomial"]["x"]]
-    ys = factor["monomial"]["y"]
+    xs, ys = factor.monomial
     for e, s in zip(xs, quad.x):
         if e != 0 and s == ZERO:
             return 0
-    sign = factor["unit_sign"]
+    sign = 1 if factor.unit.constant_term() > 0 else -1
     for e, s in zip(ys, quad.y):
         if e != 0 and s == ZERO:
             return 0
@@ -180,35 +160,14 @@ def _param_leafwork(sig, conjunctions, zero_x, zero_y, options, out) -> None:
     index_of = {render(s): k for k, s in enumerate(live)}
     if live:
         dc = division_chain(live, options)
+        tree = dc.report.tree
         branches = [
-            (chain, leaf_sig)
-            for (chain, _leaf), leaf_sig in (
-                ((chain, leaf), dc.report.tree.leaf_sig(chain))
-                for chain, leaf in dc.report.tree.branches()
-            )
+            (chain, tree.leaf_sig(chain), factors)
+            for (chain, _leaf), factors in zip(tree.branches(), dc.normal_forms)
         ]
     else:
-        branches = [([], sig)]
-    for chain, leaf_sig in branches:
-        factors = []
-        for s in live:
-            pulled = pullback_chain(chain, s)
-            if pulled.is_zero():
-                factors.append({"kind": "zero"})
-                continue
-            nf = normal_form(pulled)
-            if nf is None:
-                raise GeometryError(f"constraint {render(s)} not normal on a branch")
-            factors.append(
-                {
-                    "kind": "normal",
-                    "monomial": {
-                        "x": [str(v) for v in nf.monomial[0]],
-                        "y": list(nf.monomial[1]),
-                    },
-                    "unit_sign": 1 if nf.unit.constant_term() > 0 else -1,
-                }
-            )
+        branches = [([], sig, [])]
+    for chain, leaf_sig, factors in branches:
         for quad in enumerate_subquadrants(leaf_sig):
             if _quad_satisfies(conjunctions, factors, index_of, quad):
                 out.append(

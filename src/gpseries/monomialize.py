@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -33,6 +33,7 @@ from .series import (
     SeriesError,
     Signature,
     _leq,
+    coefficients_in_y,
     common_monomial,
     divide_monomial,
     min_support,
@@ -42,7 +43,6 @@ from .series import (
     total_degree,
 )
 from .transforms import (
-    INF,
     NEG_INF,
     BlowUpXX,
     BlowUpYX,
@@ -51,12 +51,12 @@ from .transforms import (
     Linear,
     NeedsRamification,
     RamifyX,
+    TransformError,
     Tschirnhausen,
     chain_to_json,
-    pullback_chain,
 )
 from .trees import AdmissibleTree, DEFAULT_PALETTE, LambdaPalette, TreeNode, tree_to_json
-from .division import DivisionError, regular_order, solve_implicit, split_in_y, tschirnhausen_center
+from .division import DivisionError, regular_order, solve_implicit, tschirnhausen_center
 
 
 class EngineError(SeriesError):
@@ -235,17 +235,6 @@ def _find_shear(part: dict, n: int, d0: int) -> Optional[tuple]:
         if val != 0:
             return tuple(Fraction(v) for v in c)
     return None
-
-
-def _coefficient_of_yn(g: Series, k: int) -> Series:
-    """Coefficient series of Y_n^k, kept over the same signature with the
-    last y-exponent zeroed; precision drops by k."""
-    prec = g.precision - k
-    terms = {}
-    for (xs, ys), c in g.terms.items():
-        if ys[-1] == k:
-            terms[(xs, ys[:-1] + (0,))] = c
-    return Series(g.sig, terms, prec)
 
 
 # -- the engine ---------------------------------------------------------------
@@ -428,11 +417,9 @@ class _Engine:
             self.process(child, t.pullback(f), depth + 1)
             return
         # Y^{d-1} coefficient vanishes; inspect the lower coefficients
-        coeffs = {}
-        for i in range(2, d + 1):
-            c = _coefficient_of_yn(g, d - i)
-            if not c.is_zero():
-                coeffs[i] = c
+        # every coefficient is kept: g.precision > d was checked in process
+        by_power = coefficients_in_y(g, n)
+        coeffs = {i: by_power[d - i] for i in range(2, d + 1) if d - i in by_power}
         if not coeffs:
             raise EngineError("pure power of y_n past monomial extraction")
         data = {}
@@ -453,7 +440,7 @@ class _Engine:
             minimal = [
                 i
                 for i, mu in mus.items()
-                if all(_mu_leq(mu, other) for other in mus.values())
+                if all(_leq(mu, other) for other in mus.values())
             ]
             if not minimal:
                 good = False
@@ -583,12 +570,6 @@ class _Engine:
             )
 
 
-def _mu_leq(a, b) -> bool:
-    return all(x <= y for x, y in zip(a[0], b[0])) and all(
-        x <= y for x, y in zip(a[1], b[1])
-    )
-
-
 def _embed_transform(t: ElementaryTransform, sub_sig: Signature) -> ElementaryTransform:
     """Lift a transform over (m, n-1) to (m, n) acting as the identity on the
     last y-variable.  Indices agree because that variable stays last; only
@@ -619,6 +600,34 @@ def _chain_product(family: Sequence[Series]) -> Series:
     return prod
 
 
+# -- pulled branch walk -------------------------------------------------------
+
+
+def _pulled_branches(tree: AdmissibleTree, series: Sequence[Series]):
+    """Yield (chain, leaf, pulled) for every branch of ``tree``, in
+    ``AdmissibleTree.branches()`` order; ``pulled`` holds each of ``series``
+    pulled back along the chain, as ``pullback_chain`` would give it.
+
+    Every series is pulled through every edge once.  A node's pulled list is
+    made when the node is popped, so only the lists of the current path and
+    of its pending siblings' parents are alive.  A consumer may refine a
+    yielded leaf: the children it has on resumption are walked next."""
+    stack = [(tree.root, [], list(series))]
+    while stack:
+        node, chain, pulled = stack.pop()
+        t = node.transform
+        if t is not None:
+            chain = chain + [t]
+            try:
+                pulled = [t.pullback(f) for f in pulled]
+            except SeriesError as exc:
+                raise TransformError(f"step {len(chain)} ({t.describe()}): {exc}") from exc
+        if node.is_leaf():
+            yield chain, node, pulled
+        for child in reversed(node.children):
+            stack.append((child, chain, pulled))
+
+
 # -- public entry points ------------------------------------------------------
 
 
@@ -640,10 +649,9 @@ class MonomialisationReport:
 
     def leaf_results(self) -> list[LeafResult]:
         out = []
-        for chain, leaf in self.tree.branches():
+        for chain, leaf, (pulled,) in _pulled_branches(self.tree, [self.input]):
             payload = leaf.payload
             sig = self.tree.leaf_sig(chain)
-            pulled = pullback_chain(chain, self.input)
             nf = normal_form(pulled)
             out.append(
                 LeafResult(
@@ -719,9 +727,18 @@ def monomialize(f: Series, options: EngineOptions = EngineOptions()) -> Monomial
 
 @dataclass
 class DivisionChainResult:
+    """``leaves`` holds one JSON record per leaf, in branch order:
+    ``{"chain", "sig", "factors": [...]}`` with one factor per input.
+
+    ``normal_forms`` holds, per leaf in the same order, the input factors as
+    ``NormalForm`` objects: one per input, ``None`` where the input pulls back
+    to zero.  It is what the factor records were rendered from, for callers
+    that need the units themselves; it is not serialised."""
+
     inputs: list
     report: MonomialisationReport
-    leaves: list  # per leaf: {"chain", "sig", "factors": [...]} in branch order
+    leaves: list
+    normal_forms: list
 
 
 def division_chain(
@@ -748,68 +765,55 @@ def division_chain(
     engine = _Engine(options)
     tree = _run_deep(lambda: engine.run(prod))
     # The product being normal modulo the truncation does not force each
-    # factor to be normal there; keep refining any branch where an input or a
-    # pairwise difference is still unresolved.
-    changed = True
-    while changed:
-        changed = False
-        for chain, leaf in list(tree.branches()):
-            pulled = [pullback_chain(chain, t) for t in targets]
-            live_p = [p for p in pulled if not p.is_zero()]
-            if all(normal_form(p) is not None for p in live_p):
-                continue
-            # re-multiplying the pulled factors recovers the precision that a
-            # single pullback of the pre-multiplied product loses
-            p_leaf = live_p[0]
-            for q in live_p[1:]:
-                p_leaf = p_leaf * q
+    # factor to be normal there; refine any leaf where an input or a pairwise
+    # difference is still unresolved, and walk on into the children that
+    # appear.  A refinement that adds no children is repeated on the same
+    # leaf, so a leaf that never resolves ends in CapExceeded.
+    resolved = []  # (chain, normal forms of the live inputs) per final leaf
+    for chain, leaf, pulled in _pulled_branches(tree, targets):
+        forms = [normal_form(p) for p in pulled]
+        if all(nf is not None or p.is_zero() for p, nf in zip(pulled, forms)):
+            resolved.append((chain, forms[: len(live)]))
+            continue
+        live_p = [p for p in pulled if not p.is_zero()]
+        # re-multiplying the pulled factors recovers the precision that a
+        # single pullback of the pre-multiplied product loses
+        p_leaf = live_p[0]
+        for q in live_p[1:]:
+            p_leaf = p_leaf * q
+        while leaf.is_leaf():
             leaf.payload = {}
             _run_deep(lambda: engine.process(leaf, p_leaf, len(chain)))
-            changed = True
-            break
+    # The ordering check runs only once refinement has ended, as the leaf
+    # records are built: an unordered leaf must not pre-empt a CapExceeded
+    # that a later refinement would raise.
     report = MonomialisationReport(prod, tree, engine.audit)
-    leaves = []
-    for chain, leaf in report.tree.branches():
-        factors = []
-        for s in inputs:
-            if s.is_zero():
-                factors.append({"kind": "zero"})
-                continue
-            pulled = pullback_chain(chain, s)
-            if pulled.is_zero():
-                factors.append({"kind": "zero"})
-                continue
-            nf = normal_form(pulled)
-            if nf is None:
-                raise EngineError(
-                    "factor failed to become normal on a branch "
-                    f"(input {render(s)})"
-                )
-            factors.append(
-                {
-                    "kind": "normal",
-                    "monomial": _monomial_json(nf.monomial),
-                    "unit": render(nf.unit),
-                    "precision": str(nf.unit.precision),
-                }
-            )
-        exps = [
-            (
-                tuple(Fraction(v) for v in nf["monomial"]["x"]),
-                tuple(nf["monomial"]["y"]),
-            )
-            for nf in factors
-            if nf["kind"] == "normal"
-        ]
+    leaves, normal_forms = [], []
+    for chain, live_forms in resolved:
+        it = iter(live_forms)
+        forms = [None if s.is_zero() else next(it) for s in inputs]
+        exps = [nf.monomial for nf in forms if nf is not None]
         for a in range(len(exps)):
             for b in range(a + 1, len(exps)):
                 if not _leq(exps[a], exps[b]) and not _leq(exps[b], exps[a]):
                     raise EngineError("leaf monomials are not ordered by division")
+        factors = [
+            {"kind": "zero"}
+            if nf is None
+            else {
+                "kind": "normal",
+                "monomial": _monomial_json(nf.monomial),
+                "unit": render(nf.unit),
+                "precision": str(nf.unit.precision),
+            }
+            for nf in forms
+        ]
         leaves.append(
             {
                 "chain": chain_to_json(chain),
-                "sig": list(report.tree.leaf_sig(chain)),
+                "sig": list(tree.leaf_sig(chain)),
                 "factors": factors,
             }
         )
-    return DivisionChainResult(list(inputs), report, leaves)
+        normal_forms.append(forms)
+    return DivisionChainResult(list(inputs), report, leaves, normal_forms)

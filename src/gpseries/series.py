@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-#: sentinel returned by :func:`order_in_y` when the restriction to the
-#: distinguished axis vanishes identically up to precision.
+#: sentinel returned by :func:`gpseries.division.regular_order` when the
+#: restriction to the distinguished axis vanishes identically up to precision.
 NOT_REGULAR = None
 
 
@@ -284,17 +284,6 @@ def partial_y(a: Series, j: int) -> Series:
     return Series(a.sig, terms, prec)
 
 
-def log_derivative_x(a: Series, i: int) -> Series:
-    """The Euler-type operator sending c*X^a to a_i*c*X^a (1-based i)."""
-    if not 1 <= i <= a.sig.m:
-        raise SeriesError(f"x-index {i} out of range for {a.sig}")
-    terms = {}
-    for (xs, ys), c in a.terms.items():
-        if xs[i - 1] != 0:
-            terms[(xs, ys)] = c * xs[i - 1]
-    return Series(a.sig, terms, a.precision)
-
-
 def set_x_to_zero(a: Series, i: int) -> Series:
     """Set X_i = 0 and drop the variable from the signature (1-based)."""
     if not 1 <= i <= a.sig.m:
@@ -319,24 +308,6 @@ def set_y_to_zero(a: Series, j: int) -> Series:
             continue
         terms[(xs, ys[: j - 1] + ys[j:])] = c
     return Series(sig, terms, a.precision)
-
-
-def order_in_y(a: Series, j: int) -> Optional[int]:
-    """Order of regularity in Y_j: the smallest d with a nonzero coefficient
-    of Y_j^d in a(0, ..., 0, Y_j), or NOT_REGULAR when that restriction
-    vanishes up to precision."""
-    if not 1 <= j <= a.sig.n:
-        raise SeriesError(f"y-index {j} out of range for {a.sig}")
-    degrees = []
-    for (xs, ys), _ in a.terms.items():
-        if any(e != 0 for e in xs):
-            continue
-        if any(e != 0 for k, e in enumerate(ys) if k != j - 1):
-            continue
-        degrees.append(ys[j - 1])
-    if not degrees:
-        return NOT_REGULAR
-    return min(degrees)
 
 
 def binom(alpha: Fraction, k: int) -> Fraction:

@@ -13,23 +13,19 @@ parameters are exact rationals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .series import (
-    Exponent,
     Rational,
     Series,
     SeriesError,
     Signature,
     SignatureMismatch,
     binom,
-    coefficients_in_y,
-    constant,
     insert_y,
     substitute_y,
-    total_degree,
 )
 
 INF = "inf"
@@ -54,10 +50,6 @@ def _lam(value) -> Lambda:
 
 def _lam_json(value: Lambda):
     return value if isinstance(value, str) else str(value)
-
-
-def _frac_json(value: Fraction) -> str:
-    return str(value)
 
 
 Point = list  # numeric point, entries Fraction or float

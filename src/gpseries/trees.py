@@ -2,8 +2,8 @@
 
 A tree is rooted at an ambient signature; every edge carries one elementary
 transformation, so each leaf determines a chain nu_1 o ... o nu_N (root to
-leaf).  Engines attach their results to leaf payloads.  Branch enumeration,
-serialization, and the numeric covering check all operate on these trees.
+leaf).  Engines attach their results to leaf payloads; branch enumeration
+and serialization operate on these trees.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .series import Rational, Signature
 from .transforms import (
@@ -19,8 +19,6 @@ from .transforms import (
     NEG_INF,
     ElementaryTransform,
     chain_sigs,
-    forward_chain,
-    inverse_chain,
     transform_from_json,
 )
 
@@ -153,7 +151,7 @@ def tree_from_json(data: dict, precision: Rational = None) -> AdmissibleTree:
     return AdmissibleTree(Signature(m, n), node_from(data["root"]))
 
 
-# -- covering check ----------------------------------------------------------
+# -- sample points -----------------------------------------------------------
 
 
 def sample_points(
@@ -171,36 +169,3 @@ def sample_points(
 
 def point_in_domain(p: Sequence[float], sig: Signature) -> bool:
     return all(float(p[i]) >= 0 for i in range(sig.m))
-
-
-def covering_fraction(
-    tree: AdmissibleTree,
-    points: Sequence[Sequence[float]],
-    tol: float = 1e-9,
-    accept: Optional[Callable[[Sequence[float], Signature, TreeNode], bool]] = None,
-) -> float:
-    """Fraction of sample points hit by some branch.
-
-    A point p is covered when a branch's chain admits a numeric preimage q
-    with all leaf x-coordinates nonnegative (and passing ``accept`` when
-    given) whose forward image returns to p within ``tol``."""
-    branches = list(tree.branches())
-    if not points:
-        return 1.0
-    covered = 0
-    for p in points:
-        for chain, leaf in branches:
-            q = inverse_chain(chain, list(p), tree.sig)
-            if q is None:
-                continue
-            leaf_sig = tree.leaf_sig(chain)
-            if not point_in_domain(q, leaf_sig):
-                continue
-            if accept is not None and not accept(q, leaf_sig, leaf):
-                continue
-            back = forward_chain(chain, q, tree.sig)
-            err = max(abs(float(a) - float(b)) for a, b in zip(back, p))
-            if err <= tol:
-                covered += 1
-                break
-    return covered / len(points)

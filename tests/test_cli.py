@@ -1,5 +1,6 @@
 """Command line interface: exit codes, config handling, output determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -108,3 +109,43 @@ def test_json_is_deterministic_across_threads(tmp_path, capsys):
 def test_invalid_threads_exits_one(tmp_path):
     path = write(tmp_path, "in.txt", "vars x:1 y:1\nx1;\n")
     assert main(["monomialize", path, "--threads", "0"]) == 1
+
+
+# sha256 of the --json output: three division-chain families and the cone and
+# cusp parametrisations; the bytes must not change when only speed does
+PINNED_OUTPUTS = {
+    "divide-family-0": (
+        ["divide"],
+        "vars x:1 y:1\ny1^2 - x1^2;\nx1;\ny1;\n",
+        "d687750a048c26867453be97612ee9cf3518c72432cce37b0bd189edbda18e08",
+    ),
+    "divide-family-1": (
+        ["divide"],
+        "vars x:1 y:1\ny1^2 - x1^3;\ny1 - x1;\nx1^2;\n",
+        "2cc169dc78ec9fd2173b47f84dda380798216bc7b68a4b74eaf907bb3800f2bd",
+    ),
+    "divide-family-2": (
+        ["divide"],
+        "vars x:1 y:1\nx1 + y1;\nx1 - y1;\nx1*y1;\n",
+        "b89b441e40ca212dfa7632ed40692b0eaf094ef4346ae3ce23808c46a66d4f78",
+    ),
+    "parametrize-cone": (
+        ["parametrize", "--samples", "20"],
+        CONE,
+        "509ca4bd5e59d0217ee02161b492b1bc332fcbdaed6ce2697a923a54b11ea331",
+    ),
+    "parametrize-cusp": (
+        ["parametrize", "--samples", "20"],
+        "vars x:1 y:1\ny1^2 - x1^3 = 0 & x1 > 0;\n",
+        "c67b40bad1fe3b6073ad6f533cd8c1ddd0bf408107deb23c2aad14e4214ee658",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_OUTPUTS)
+def test_json_output_bytes_are_pinned(tmp_path, capsys, name):
+    command, text, digest = PINNED_OUTPUTS[name]
+    path = write(tmp_path, "in.txt", text)
+    assert main([command[0], path, "--json", *command[1:]]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from gpseries.series import Signature, Series, _leq
-from gpseries.transforms import pullback_chain
+from gpseries.series import Signature, Series, _leq, render
+from gpseries.transforms import chain_to_json, pullback_chain
 from gpseries.monomialize import (
     CapExceeded,
     DivisionChainResult,
@@ -96,25 +96,37 @@ def test_already_normal_input_gets_height_zero_tree():
     assert leaf.monomial == ((Fraction(1, 2),), (2,))
 
 
-def test_report_leaves_use_exact_pullbacks():
-    report = monomialize(ps("y1^2 - x1^2", 1, 1))
-    for leaf in report.leaf_results():
+HARD_CASES = [
+    ("y1^3 - 3*x1*y1 - x1^2", 1, 1),
+    ("y1^4 - x1^3", 1, 1),
+    ("(y1^2 - x1^2)*(y1^2 - 4*x1^2)", 1, 1),
+    ("y1^2 - x1^2*y2^2", 1, 2),
+    ("y1*y2 - x1^2", 1, 2),
+]
+
+NAMED_INPUTS = [(text, m, n) for text, m, n, _, _ in CORPUS] + HARD_CASES
+
+
+@pytest.mark.parametrize("text,m,n", NAMED_INPUTS)
+def test_report_leaves_use_exact_pullbacks(text, m, n):
+    # every leaf equals the normal form of the pullback from the root
+    report = monomialize(ps(text, m, n))
+    leaves = report.leaf_results()
+    assert len(leaves) == len(report.tree.leaves())
+    for leaf in leaves:
         pulled = pullback_chain(leaf.chain, report.input)
-        if pulled.is_zero():
-            continue
         nf = normal_form(pulled)
-        assert nf is not None
-        assert nf.monomial == leaf.monomial
+        assert leaf.precision == pulled.precision
+        if nf is None:
+            assert leaf.monomial is None and leaf.unit is None
+            continue
+        assert leaf.monomial == nf.monomial
+        assert render(leaf.unit) == render(nf.unit)
+        assert leaf.unit.precision == nf.unit.precision
 
 
 def test_named_hard_cases():
-    for text, m, n in [
-        ("y1^3 - 3*x1*y1 - x1^2", 1, 1),
-        ("y1^4 - x1^3", 1, 1),
-        ("(y1^2 - x1^2)*(y1^2 - 4*x1^2)", 1, 1),
-        ("y1^2 - x1^2*y2^2", 1, 2),
-        ("y1*y2 - x1^2", 1, 2),
-    ]:
+    for text, m, n in HARD_CASES:
         report = monomialize(ps(text, m, n))
         assert_all_leaves_normal(report)
 
@@ -153,15 +165,48 @@ def test_report_json_shape():
 # -- division chains -----------------------------------------------------------------
 
 
-def test_division_chain_factors_normal_and_comparable():
-    inputs = [
-        ps("y1^2 - x1^2", 1, 1),
-        ps("x1", 1, 1),
-        ps("y1", 1, 1),
-    ]
+CHAIN_FAMILIES = [
+    ["y1^2 - x1^2", "x1", "y1"],
+    ["y1^2 - x1^3", "y1 - x1", "x1^2"],
+    ["x1 + y1", "x1 - y1", "x1*y1"],
+]
+
+
+def _factor_from_root(chain, s):
+    """The factor record of one input, rebuilt from its pullback from the root."""
+    pulled = pullback_chain(chain, s)
+    if pulled.is_zero():
+        return {"kind": "zero"}, None
+    nf = normal_form(pulled)
+    assert nf is not None, (render(s), chain)
+    record = {
+        "kind": "normal",
+        "monomial": {"x": [str(v) for v in nf.monomial[0]], "y": list(nf.monomial[1])},
+        "unit": render(nf.unit),
+        "precision": str(nf.unit.precision),
+    }
+    return record, nf
+
+
+@pytest.mark.parametrize(
+    "texts", CHAIN_FAMILIES, ids=[f"family-{k}" for k in range(len(CHAIN_FAMILIES))]
+)
+def test_division_chain_factors_normal_and_comparable(texts):
+    inputs = [ps(t, 1, 1) for t in texts]
     res = division_chain(inputs)
     assert isinstance(res, DivisionChainResult)
-    for entry in res.leaves:
+    branches = list(res.report.tree.branches())
+    assert len(branches) == len(res.leaves) == len(res.normal_forms)
+    for (chain, _leaf), entry, forms in zip(branches, res.leaves, res.normal_forms):
+        assert entry["chain"] == chain_to_json(chain)
+        assert len(entry["factors"]) == len(forms) == len(inputs)
+        for s, fac, nf in zip(inputs, entry["factors"], forms):
+            record, ref = _factor_from_root(chain, s)
+            assert fac == record
+            assert (nf is None) == (ref is None)
+            if nf is not None:
+                assert nf.monomial == ref.monomial
+                assert render(nf.unit) == render(ref.unit)
         monomials = []
         for fac in entry["factors"]:
             if fac["kind"] == "zero":
