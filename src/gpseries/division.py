@@ -61,8 +61,8 @@ def split_in_y(h: Series, d: int) -> tuple[Series, Series]:
         else:
             high_terms[(xs, ys[:-1] + (k - d,))] = c
     return (
-        Series(h.sig, low_terms, h.precision),
-        Series(h.sig, high_terms, h.precision),
+        Series._trusted(h.sig, low_terms, h.precision),
+        Series._trusted(h.sig, high_terms, h.precision),
     )
 
 

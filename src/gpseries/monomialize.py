@@ -104,7 +104,7 @@ def _monomial_json(exp: Exponent) -> dict:
 
 
 def _set_all_x_zero(g: Series) -> Series:
-    return Series(
+    return Series._trusted(
         g.sig,
         {e: c for e, c in g.terms.items() if all(v == 0 for v in e[0])},
         g.precision,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -45,7 +46,7 @@ def _check_exponent(sig: Signature, exp: Exponent) -> Exponent:
     if len(xs) != sig.m or len(ys) != sig.n:
         raise SeriesError(f"exponent {exp} does not match signature {sig}")
     xs = tuple(Fraction(e) for e in xs)
-    ys = tuple(int(e) for e in ys)
+    ys = tuple(_y_exponent(e) for e in ys)
     for e in xs:
         if e < 0:
             raise SeriesError(f"negative x-exponent {e}")
@@ -55,13 +56,47 @@ def _check_exponent(sig: Signature, exp: Exponent) -> Exponent:
     return xs, ys
 
 
+def _y_exponent(e) -> int:
+    if type(e) is int:
+        return e
+    q = Fraction(e)
+    if q.denominator != 1:
+        raise SeriesError(f"y-exponent {e} is not an integer")
+    return q.numerator
+
+
 def total_degree(exp: Exponent) -> Fraction:
+    """Sum of all exponents, accumulated over integer numerators and
+    denominators; one Fraction is built at the end."""
     xs, ys = exp
-    return sum(xs, Fraction(0)) + sum(ys)
+    num, den = sum(ys), 1
+    for e in xs:
+        d = e.denominator
+        if d == den:
+            num += e.numerator
+        else:
+            num = num * d + e.numerator * den
+            den *= d
+    return Fraction(num, den)
 
 
 class Series:
-    """Immutable truncated generalized power series."""
+    """Immutable truncated generalized power series.
+
+    ``Series(sig, terms, precision)`` validates: it converts and checks every
+    exponent against the signature, sums coefficients of equal exponents,
+    drops zero coefficients and terms of total degree >= ``precision``.
+    Callers outside this package and the tests always go through it.
+
+    ``Series._trusted`` skips all of that.  Only code inside the package may
+    call it, and only with a result that is canonical already: a ``dict`` of
+    nonzero ``Fraction`` coefficients keyed by ``(Fraction-tuple,
+    int-tuple)`` exponents of the signature, every one of total degree below
+    a positive ``Fraction`` precision, and a ``Signature``.  The ring
+    operations, ``substitute_y``, the transform pullbacks and the splitting
+    helpers of the division and monomialisation layers build their results
+    from canonical operands this way.
+    """
 
     __slots__ = ("sig", "terms", "precision")
 
@@ -88,6 +123,18 @@ class Series:
         object.__setattr__(self, "sig", Signature(*sig))
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "precision", precision)
+
+    @classmethod
+    def _trusted(
+        cls, sig: Signature, terms: dict[Exponent, Fraction], precision: Fraction
+    ) -> "Series":
+        """A series from canonical parts, without validation (see the class
+        docstring for what canonical means)."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "sig", sig)
+        object.__setattr__(s, "terms", terms)
+        object.__setattr__(s, "precision", precision)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
@@ -122,13 +169,21 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         self._require_same_sig(other)
         prec = min(self.precision, other.precision)
-        terms = dict(self.terms)
-        for exp, c in other.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return Series(self.sig, terms, prec)
+        terms = dict(self.terms) if self.precision == prec else _below(self.terms, prec)
+        b = other.terms if other.precision == prec else _below(other.terms, prec)
+        cancelled = False
+        for exp, c in b.items():
+            if exp in terms:
+                c += terms[exp]
+                if not c:
+                    cancelled = True
+            terms[exp] = c
+        if cancelled:
+            terms = {e: c for e, c in terms.items() if c}
+        return Series._trusted(self.sig, terms, prec)
 
     def __neg__(self) -> "Series":
-        return Series(
+        return Series._trusted(
             self.sig, {e: -c for e, c in self.terms.items()}, self.precision
         )
 
@@ -137,27 +192,47 @@ class Series:
 
     def __mul__(self, other: "Series") -> "Series":
         self._require_same_sig(other)
-        prec = mul_precision(self, other)
+        deg_a = [total_degree(e) for e in self.terms]
+        deg_b = [total_degree(e) for e in other.terms]
+        prec = _product_precision(
+            self.precision, min(deg_a, default=None),
+            other.precision, min(deg_b, default=None),
+        )
+        b_terms = list(zip(other.terms.items(), deg_b))
         terms: dict[Exponent, Fraction] = {}
-        for (xa, ya), ca in self.terms.items():
-            for (xb, yb), cb in other.terms.items():
-                exp = (
-                    tuple(a + b for a, b in zip(xa, xb)),
-                    tuple(a + b for a, b in zip(ya, yb)),
-                )
-                if total_degree(exp) >= prec:
+        cancelled = False
+        # a-outer, b-inner; a sum that cancels keeps its slot until the end
+        for ((xa, ya), ca), da in zip(self.terms.items(), deg_a):
+            room = prec - da
+            for ((xb, yb), cb), db in b_terms:
+                if not db < room:
                     continue
-                terms[exp] = terms.get(exp, Fraction(0)) + ca * cb
-        return Series(self.sig, terms, prec)
+                exp = (tuple(map(add, xa, xb)), tuple(map(add, ya, yb)))
+                c = ca * cb
+                if exp in terms:
+                    c += terms[exp]
+                    if not c:
+                        cancelled = True
+                terms[exp] = c
+        if cancelled:
+            terms = {e: c for e, c in terms.items() if c}
+        return Series._trusted(self.sig, terms, prec)
 
     def scale(self, c: Rational) -> "Series":
         c = Fraction(c)
-        return Series(
+        if not c:
+            return Series._trusted(self.sig, {}, self.precision)
+        return Series._trusted(
             self.sig, {e: c * v for e, v in self.terms.items()}, self.precision
         )
 
     def truncate(self, precision: Rational) -> "Series":
-        return Series(self.sig, self.terms, min(self.precision, Fraction(precision)))
+        precision = Fraction(precision)
+        if precision <= 0:
+            raise SeriesError(f"precision must be positive, got {precision}")
+        if precision >= self.precision:
+            return self
+        return Series._trusted(self.sig, _below(self.terms, precision), precision)
 
     def __pow__(self, k: int) -> "Series":
         if k < 0:
@@ -197,16 +272,41 @@ class Series:
         return f"Series({render(self)!r}, sig={tuple(self.sig)}, prec={self.precision})"
 
 
+def _below(
+    terms: Mapping[Exponent, Fraction], precision: Fraction
+) -> dict[Exponent, Fraction]:
+    """The terms of total degree below ``precision``, in their order."""
+    return {e: c for e, c in terms.items() if total_degree(e) < precision}
+
+
+def _pruned(
+    sig: Signature, terms: dict[Exponent, Fraction], precision: Fraction
+) -> Series:
+    """Trusted series from well-formed exponents and summed ``Fraction``
+    coefficients: zero sums and terms of total degree >= ``precision`` are
+    dropped in place."""
+    return Series._trusted(
+        sig,
+        {e: c for e, c in terms.items() if c and total_degree(e) < precision},
+        precision,
+    )
+
+
 def mul_precision(a: Series, b: Series) -> Fraction:
     """Propagated precision of a product: min(pa + ord(b), pb + ord(a))."""
-    oa, ob = a.order(), b.order()
+    return _product_precision(a.precision, a.order(), b.precision, b.order())
+
+
+def _product_precision(
+    pa: Fraction, oa: Optional[Fraction], pb: Fraction, ob: Optional[Fraction]
+) -> Fraction:
     candidates = []
     if ob is not None:
-        candidates.append(a.precision + ob)
+        candidates.append(pa + ob)
     if oa is not None:
-        candidates.append(b.precision + oa)
+        candidates.append(pb + oa)
     if not candidates:
-        return min(a.precision, b.precision)
+        return min(pa, pb)
     return min(candidates)
 
 
@@ -229,8 +329,7 @@ def monomial(
     precision: Rational,
     coeff: Rational = 1,
 ) -> Series:
-    exp = (tuple(Fraction(e) for e in xexps), tuple(int(e) for e in yexps))
-    return Series(sig, {exp: Fraction(coeff)}, precision)
+    return Series(sig, {(tuple(xexps), tuple(yexps)): coeff}, precision)
 
 
 def x_var(sig: Signature, i: int, precision: Rational) -> Series:
@@ -281,7 +380,7 @@ def partial_y(a: Series, j: int) -> Series:
             continue
         ys2 = ys[: j - 1] + (k - 1,) + ys[j:]
         terms[(xs, ys2)] = c * k
-    return Series(a.sig, terms, prec)
+    return Series._trusted(a.sig, terms, prec)
 
 
 def set_x_to_zero(a: Series, i: int) -> Series:
@@ -294,7 +393,7 @@ def set_x_to_zero(a: Series, i: int) -> Series:
         if xs[i - 1] != 0:
             continue
         terms[(xs[: i - 1] + xs[i:], ys)] = c
-    return Series(sig, terms, a.precision)
+    return Series._trusted(sig, terms, a.precision)
 
 
 def set_y_to_zero(a: Series, j: int) -> Series:
@@ -307,7 +406,7 @@ def set_y_to_zero(a: Series, j: int) -> Series:
         if ys[j - 1] != 0:
             continue
         terms[(xs, ys[: j - 1] + ys[j:])] = c
-    return Series(sig, terms, a.precision)
+    return Series._trusted(sig, terms, a.precision)
 
 
 def binom(alpha: Fraction, k: int) -> Fraction:
@@ -330,21 +429,19 @@ def nth_root_rational(q: Fraction, k: int) -> Optional[Fraction]:
 
 
 def _int_nth_root(v: int, k: int) -> Optional[int]:
+    """Exact k-th root of a natural number, or None; integer Newton steps
+    from 2^ceil(bits/k), which lies above the root, so ints of any size work."""
     if v < 0:
         return None
-    r = round(v ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand**k == v:
-            return cand
-    # float guess can be off for huge ints; fall back to bisection
-    lo, hi = 0, max(2, v)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**k < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**k == v else None
+    if v < 2:
+        return v
+    r = 1 << -(-v.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + v // r ** (k - 1)) // k
+        if s >= r:
+            break
+        r = s
+    return r if r**k == v else None
 
 
 def binomial_series(
@@ -504,7 +601,7 @@ def insert_x(a: Series, pos: int) -> Series:
     terms = {}
     for (xs, ys), c in a.terms.items():
         terms[(xs[: pos - 1] + (Fraction(0),) + xs[pos - 1 :], ys)] = c
-    return Series(sig, terms, a.precision)
+    return Series._trusted(sig, terms, a.precision)
 
 
 def insert_y(a: Series, pos: int) -> Series:
@@ -515,7 +612,7 @@ def insert_y(a: Series, pos: int) -> Series:
     terms = {}
     for (xs, ys), c in a.terms.items():
         terms[(xs, ys[: pos - 1] + (0,) + ys[pos - 1 :])] = c
-    return Series(sig, terms, a.precision)
+    return Series._trusted(sig, terms, a.precision)
 
 
 def coefficients_in_y(a: Series, j: int) -> dict[int, Series]:
@@ -532,7 +629,7 @@ def coefficients_in_y(a: Series, j: int) -> dict[int, Series]:
         ys0 = ys[: j - 1] + (0,) + ys[j:]
         buckets.setdefault(k, {})[(xs, ys0)] = c
     return {
-        k: Series(a.sig, terms, a.precision - k)
+        k: Series._trusted(a.sig, terms, a.precision - k)
         for k, terms in buckets.items()
         if a.precision - k > 0
     }
@@ -574,12 +671,12 @@ def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
         ys0 = tuple(
             0 if (j + 1) in replacements else e for j, e in enumerate(ys)
         )
-        piece = Series(a.sig, {(xs, ys0): c}, work_prec)
+        piece = Series._trusted(a.sig, {(xs, ys0): c}, work_prec)
         for j, e in enumerate(ys):
             if (j + 1) in replacements and e:
                 piece = (piece * rep_power(j + 1, e)).truncate(work_prec)
         result = result + piece
-    return Series(a.sig, result.terms, prec)
+    return Series._trusted(a.sig, _below(result.terms, prec), prec)
 
 
 # -- rendering ---------------------------------------------------------------

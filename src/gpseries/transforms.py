@@ -23,6 +23,7 @@ from .series import (
     SeriesError,
     Signature,
     SignatureMismatch,
+    _pruned,
     binom,
     insert_y,
     substitute_y,
@@ -142,7 +143,7 @@ class BlowUpXX(ElementaryTransform):
                 nxs[self.j - 1] += xs[self.i - 1]
                 key = (tuple(nxs), ys)
                 terms[key] = terms.get(key, Fraction(0)) + c
-            return Series(f.sig, terms, f.precision)
+            return _pruned(f.sig, terms, f.precision)
         # finite positive lambda
         sig2 = self.result_sig(f.sig)
         terms = {}
@@ -158,7 +159,7 @@ class BlowUpXX(ElementaryTransform):
             for k, coeff in enumerate(_expand_shifted_power(self.lam, a)):
                 key = (tuple(base), (k,) + ys)
                 terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return Series(sig2, terms, f.precision)
+        return _pruned(sig2, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         if self.lam == INF:
@@ -234,7 +235,7 @@ class BlowUpYX(ElementaryTransform):
                 nys = ys[: self.i - 1] + ys[self.i :]
                 key = (nxs, nys)
                 terms[key] = terms.get(key, Fraction(0)) + c * (sign**b)
-            return Series(sig2, terms, f.precision)
+            return _pruned(sig2, terms, f.precision)
         terms = {}
         for (xs, ys), c in f.terms.items():
             b = ys[self.i - 1]
@@ -244,7 +245,7 @@ class BlowUpYX(ElementaryTransform):
                 nys = ys[: self.i - 1] + (k,) + ys[self.i :]
                 key = (tuple(nxs), nys)
                 terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return Series(f.sig, terms, f.precision)
+        return _pruned(f.sig, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m, n = sig
@@ -327,7 +328,7 @@ class BlowUpYY(ElementaryTransform):
                 nys[self.i - 1] = k
                 key = (xs, tuple(nys))
                 terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return Series(f.sig, terms, f.precision)
+        return _pruned(f.sig, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         if self.lam == INF:
@@ -516,7 +517,7 @@ class RamifyX(ElementaryTransform):
             nxs = list(xs)
             nxs[self.i - 1] *= self.gamma
             terms[(tuple(nxs), ys)] = c
-        return Series(f.sig, terms, prec)
+        return _pruned(f.sig, terms, prec)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         q = list(p)
@@ -574,7 +575,7 @@ class RamifyY(ElementaryTransform):
             b = ys[self.i - 1]
             nys = ys[: self.i - 1] + (b * self.d,) + ys[self.i :]
             terms[(xs, nys)] = c * (self.sign**b)
-        return Series(f.sig, terms, f.precision)
+        return _pruned(f.sig, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m = sig.m
@@ -628,7 +629,7 @@ class SignChart(ElementaryTransform):
             nys = ys[: self.i - 1] + ys[self.i :]
             key = (nxs, nys)
             terms[key] = terms.get(key, Fraction(0)) + c * (self.sign**b)
-        return Series(sig2, terms, f.precision)
+        return _pruned(sig2, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m = sig.m

@@ -156,6 +156,19 @@ def test_unit_root_property():
         assert (v**k).eq_mod_precision(u.truncate((v**k).precision))
 
 
+def test_unit_root_of_unit_with_huge_constant_term():
+    zero_exp = ((Fraction(0),), (0,))
+    u = Series(
+        SIG11,
+        {zero_exp: Fraction(10**400), ((Fraction(1),), (0,)): 1, ((Fraction(0),), (1,)): 3},
+        6,
+    )
+    v = unit_root(u, 2)
+    assert v.constant_term() == 10**200
+    square = v * v
+    assert square.eq_mod_precision(u.truncate(square.precision))
+
+
 def test_unit_root_requires_rational_root():
     with pytest.raises(DivisionError):
         unit_root(ps("2 + y1", 1, 1), 2)

@@ -79,6 +79,15 @@ def test_negative_x_exponent_rejected():
         Series(SIG11, {((Fraction(-1),), (0,)): Fraction(1)}, 8)
 
 
+def test_non_integral_y_exponent_rejected():
+    with pytest.raises(SeriesError):
+        Series(SIG11, {((0,), (Fraction(3, 2),)): 1}, 8)
+    with pytest.raises(SeriesError):
+        monomial(SIG11, [0], [Fraction(5, 2)], 8)
+    # integral values of any rational type are accepted
+    assert Series(SIG11, {((0,), (Fraction(2),)): 1}, 8) == monomial(SIG11, [0], [2], 8)
+
+
 def test_signature_mismatch_raises():
     with pytest.raises(SignatureMismatch):
         zero(SIG11, 8) + zero(SIG21, 8)
@@ -254,6 +263,13 @@ def test_nth_root_rational():
     assert nth_root_rational(Fraction(4), 2) == 2
     assert nth_root_rational(Fraction(8, 27), 3) == Fraction(2, 3)
     assert nth_root_rational(Fraction(2), 2) is None
+
+
+def test_nth_root_rational_of_large_integers():
+    # beyond the float range: the root is found in integers only
+    assert nth_root_rational(Fraction(10**400), 2) == 10**200
+    assert nth_root_rational(Fraction(2 * 10**400), 2) is None
+    assert nth_root_rational(Fraction(10**600, 7**300), 3) == Fraction(10**200, 7**100)
 
 
 # -- variable plumbing -----------------------------------------------------------
