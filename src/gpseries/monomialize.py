@@ -2,8 +2,10 @@
 
 Given a series over (m, n), builds a tree of elementary transformations such
 that on every branch the pullback becomes *normal*: a monomial in (x, y)
-times a unit.  The recursion re-derives its state at every node from the
-pulled-back series, so each step is one of:
+times a unit.  The engine keeps an explicit stack of steps, one per node on
+the current path, and finishes each child's subtree before its parent's step
+resumes.  A step re-derives its state from the node's pulled-back series and
+is one of:
 
   * factor the largest common monomial; stop if the cofactor is a unit;
   * if the cofactor vanishes on {x = 0} (or there are no y-variables),
@@ -21,8 +23,6 @@ pulled-back series, so each step is one of:
 from __future__ import annotations
 
 import math
-import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -51,7 +51,6 @@ from .transforms import (
     Linear,
     NeedsRamification,
     RamifyX,
-    TransformError,
     Tschirnhausen,
     chain_to_json,
 )
@@ -257,13 +256,23 @@ class _Engine:
         self.process(tree.root, f, 0)
         return tree
 
-    # one child reached through a linear path of transforms
-    def _path(self, node: TreeNode, transforms: Sequence[ElementaryTransform]) -> TreeNode:
-        for t in transforms:
-            node = node.add_child(t)
-        return node
-
     def process(self, node: TreeNode, f: Series, depth: int) -> None:
+        """Grow the subtree at ``node`` until every branch is normal.
+
+        Each step is a generator that yields ``(child, pulled series,
+        depth)`` for every child it wants processed; the child's subtree is
+        finished before the step resumes, so the tree, the audit and the step
+        counts come out in depth-first order, with no Python recursion."""
+        stack = [self._step(node, f, depth)]
+        while stack:
+            try:
+                task = next(stack[-1])
+            except StopIteration:
+                stack.pop()
+            else:
+                stack.append(self._step(*task))
+
+    def _step(self, node: TreeNode, f: Series, depth: int):
         if depth > self.opt.max_depth:
             raise CapExceeded(f"tree depth exceeded {self.opt.max_depth}")
         self.steps_used += 1
@@ -294,7 +303,7 @@ class _Engine:
             g = divide_monomial(f, beta)
         g0 = _set_all_x_zero(g)
         if n == 0 or g0.is_zero():
-            self._principalize(node, f, g, depth)
+            yield from self._principalize(node, f, g, depth)
             return
         d0f, part = _lowest_homogeneous(g0)
         if d0f.denominator != 1:
@@ -311,19 +320,19 @@ class _Engine:
             t = Linear(n, shear)
             self.log(depth, "shear", c=[str(v) for v in shear])
             child = node.add_child(t)
-            self.process(child, t.pullback(f), depth + 1)
+            yield child, t.pullback(f), depth + 1
             return
         d = regular_order(g)
         if d != d0:
             raise EngineError(f"regular order {d} disagrees with y-order {d0}")
         if d == 1:
-            self._order_one(node, f, g, depth)
+            yield from self._order_one(node, f, g, depth)
             return
-        self._order_d(node, f, g, beta, d, depth)
+        yield from self._order_d(node, f, g, beta, d, depth)
 
     # -- principalization of the x-monomial part ----------------------------
 
-    def _principalize(self, node: TreeNode, f: Series, g: Series, depth: int) -> None:
+    def _principalize(self, node: TreeNode, f: Series, g: Series, depth: int):
         pair = _first_incomparable_pair(g)
         if pair is None:
             raise EngineError("non-unit cofactor with totally ordered support")
@@ -339,16 +348,16 @@ class _Engine:
         gy = [c for c in gt if c[0] == "y"]
         ly = [c for c in lt if c[0] == "y"]
         if gx and lx:
-            self._principalize_xx(node, f, g, gx[0][1], lx[0][1], depth)
+            yield from self._principalize_xx(node, f, g, gx[0][1], lx[0][1], depth)
         elif gy and ly:
-            self._principalize_yy(node, f, g, gy[0][1], ly[0][1], depth)
+            yield from self._principalize_yy(node, f, g, gy[0][1], ly[0][1], depth)
         else:
             # mixed: one side differs in y, the other in x
             if gy and lx:
                 yi, xj = gy[0][1], lx[0][1]
             else:
                 yi, xj = ly[0][1], gx[0][1]
-            self._principalize_yx(node, f, g, yi, xj, depth)
+            yield from self._principalize_yx(node, f, g, yi, xj, depth)
 
     def _principalize_xx(self, node, f, g, i, j, depth):
         big, small = max(i, j), min(i, j)
@@ -367,7 +376,7 @@ class _Engine:
         for lam in self.opt.palette.nonneg(extras):
             t = BlowUpXX(big, small, lam)
             child = base.add_child(t)
-            self.process(child, t.pullback(f), depth + 1 + (lcm > 1))
+            yield child, t.pullback(f), depth + 1 + (lcm > 1)
 
     def _principalize_yy(self, node, f, g, i, j, depth):
         extras = [r for r in critical_lambdas(g, ("y", i), ("y", j)) if r != 0]
@@ -377,7 +386,7 @@ class _Engine:
                 continue
             t = BlowUpYY(i, j, lam)
             child = node.add_child(t)
-            self.process(child, t.pullback(f), depth + 1)
+            yield child, t.pullback(f), depth + 1
 
     def _principalize_yx(self, node, f, g, i, j, depth):
         extras = [r for r in critical_lambdas(g, ("y", i), ("x", j)) if r != 0]
@@ -385,7 +394,7 @@ class _Engine:
         for lam in self.opt.palette.signed(extras):
             t = BlowUpYX(i, j, lam)
             child = node.add_child(t)
-            self.process(child, t.pullback(f), depth + 1)
+            yield child, t.pullback(f), depth + 1
 
     # -- regular order 1 ------------------------------------------------------
 
@@ -400,7 +409,7 @@ class _Engine:
         t = Tschirnhausen(a)
         self.log(depth, "translate_order1", h=render(a))
         child = node.add_child(t)
-        self.process(child, t.pullback(f), depth + 1)
+        yield child, t.pullback(f), depth + 1
 
     # -- regular order d >= 2 -------------------------------------------------
 
@@ -414,10 +423,10 @@ class _Engine:
             t = Tschirnhausen(b)
             self.log(depth, "translate_center", d=d, h=render(b))
             child = node.add_child(t)
-            self.process(child, t.pullback(f), depth + 1)
+            yield child, t.pullback(f), depth + 1
             return
         # Y^{d-1} coefficient vanishes; inspect the lower coefficients
-        # every coefficient is kept: g.precision > d was checked in process
+        # every coefficient is kept: g.precision > d was checked in _step
         by_power = coefficients_in_y(g, n)
         coeffs = {i: by_power[d - i] for i in range(2, d + 1) if d - i in by_power}
         if not coeffs:
@@ -445,7 +454,7 @@ class _Engine:
             if not minimal:
                 good = False
         if not good:
-            self._joint_coefficient_step(node, f, g, beta, d, coeffs, depth)
+            yield from self._joint_coefficient_step(node, f, g, beta, d, coeffs, depth)
             return
         l = max(minimal)
         mexp_l, mu_l = data[l]
@@ -480,7 +489,7 @@ class _Engine:
             for lam in self.opt.palette.signed(extras):
                 t = BlowUpYX(n, v, lam)
                 child = base.add_child(t)
-                self.process(child, t.pullback(f), depth + 1 + extra_depth)
+                yield child, t.pullback(f), depth + 1 + extra_depth
         else:
             j = target[1]
             extras = [r for r in critical_lambdas(g, ("y", n), ("y", j)) if r != 0]
@@ -493,7 +502,7 @@ class _Engine:
                     continue
                 t = BlowUpYY(n, j, lam)
                 child = node.add_child(t)
-                self.process(child, t.pullback(f), depth + 1)
+                yield child, t.pullback(f), depth + 1
 
     def _joint_coefficient_step(self, node, f, g, beta, d, coeffs, depth):
         """Monomialise the lower Y_n-coefficients jointly (identity on y_n),
@@ -528,46 +537,45 @@ class _Engine:
         prod = _chain_product(family)
         prod = prod.truncate((prod.order() or 0) + f.precision)
         self.log(depth, "joint_coefficients", d=d, count=len(family))
-        sub_engine = _Engine(self.opt)
-        sub_engine.audit = self.audit  # share the audit log
-        sub_engine.princ_used = self.princ_used
-        sub_engine.steps_used = self.steps_used
-        subtree = AdmissibleTree(sub_sig)
-        sub_engine.process(subtree.root, prod, depth + 1)
-        self.princ_used = sub_engine.princ_used
-        self.steps_used = sub_engine.steps_used
-        self._embed_subtree(node, f, subtree.root, sub_sig, depth)
+        sub_root = TreeNode()
+        yield sub_root, prod, depth + 1
+        if sub_root.is_leaf():
+            # nothing to embed: resuming at this node would rerun this very
+            # step, deterministically, until the step budget runs out
+            raise CapExceeded(
+                f"joint coefficient step at depth {depth} adds no chart"
+            )
+        yield from self._embed_subtree(node, f, sub_root, sub_sig, depth)
 
-    def _embed_subtree(self, node, f, sub_node, sub_sig, depth):
-        if sub_node.is_leaf():
-            self.process(node, f, depth)
-            return
-        for child in sub_node.children:
-            t = _embed_transform(child.transform, sub_sig)
-            base, fb, extra = node, f, 0
+    def _embed_subtree(self, node, f, sub_root, sub_sig, depth):
+        """Copy the finished subtree below ``node``, every transform lifted
+        to act as the identity on y_n, and yield each copied leaf with f
+        pulled back to it; the copy grows in the subtree's branch order."""
+        stack = [(node, f, c, sub_sig, depth) for c in reversed(sub_root.children)]
+        while stack:
+            parent, fp, sub_node, sig, d = stack.pop()
+            t = _embed_transform(sub_node.transform, sig)
             try:
-                fc = t.pullback(fb)
+                fc = t.pullback(fp)
             except NeedsRamification:
                 # the subtree was planned on the y_n-free coefficient product,
                 # whose exponent denominators may be coarser than f's; clear
                 # f's denominators for the chart variable and retry
                 i = t.i
                 dens = [
-                    e[0][i - 1].denominator for e in fb.terms if e[0][i - 1] != 0
+                    e[0][i - 1].denominator for e in fp.terms if e[0][i - 1] != 0
                 ]
                 r = RamifyX(i, Fraction(math.lcm(*dens)))
-                base = node.add_child(r)
-                fb = r.pullback(fb)
-                fc = t.pullback(fb)
-                extra = 1
-            mchild = base.add_child(t)
-            self._embed_subtree(
-                mchild,
-                fc,
-                child,
-                child.transform.result_sig(sub_sig),
-                depth + 1 + extra,
-            )
+                parent = parent.add_child(r)
+                fp = r.pullback(fp)
+                fc = t.pullback(fp)
+                d += 1
+            child = parent.add_child(t)
+            d += 1
+            if sub_node.is_leaf():
+                yield child, fc, d
+            sig = sub_node.transform.result_sig(sig)
+            stack.extend((child, fc, c, sig, d) for c in reversed(sub_node.children))
 
 
 def _embed_transform(t: ElementaryTransform, sub_sig: Signature) -> ElementaryTransform:
@@ -600,34 +608,6 @@ def _chain_product(family: Sequence[Series]) -> Series:
     return prod
 
 
-# -- pulled branch walk -------------------------------------------------------
-
-
-def _pulled_branches(tree: AdmissibleTree, series: Sequence[Series]):
-    """Yield (chain, leaf, pulled) for every branch of ``tree``, in
-    ``AdmissibleTree.branches()`` order; ``pulled`` holds each of ``series``
-    pulled back along the chain, as ``pullback_chain`` would give it.
-
-    Every series is pulled through every edge once.  A node's pulled list is
-    made when the node is popped, so only the lists of the current path and
-    of its pending siblings' parents are alive.  A consumer may refine a
-    yielded leaf: the children it has on resumption are walked next."""
-    stack = [(tree.root, [], list(series))]
-    while stack:
-        node, chain, pulled = stack.pop()
-        t = node.transform
-        if t is not None:
-            chain = chain + [t]
-            try:
-                pulled = [t.pullback(f) for f in pulled]
-            except SeriesError as exc:
-                raise TransformError(f"step {len(chain)} ({t.describe()}): {exc}") from exc
-        if node.is_leaf():
-            yield chain, node, pulled
-        for child in reversed(node.children):
-            stack.append((child, chain, pulled))
-
-
 # -- public entry points ------------------------------------------------------
 
 
@@ -649,7 +629,7 @@ class MonomialisationReport:
 
     def leaf_results(self) -> list[LeafResult]:
         out = []
-        for chain, leaf, (pulled,) in _pulled_branches(self.tree, [self.input]):
+        for chain, leaf, (pulled,) in self.tree.pulled_branches([self.input]):
             payload = leaf.payload
             sig = self.tree.leaf_sig(chain)
             nf = normal_form(pulled)
@@ -689,40 +669,10 @@ class MonomialisationReport:
         }
 
 
-def _run_deep(fn):
-    """Run fn on a worker thread with a large stack.
-
-    Each engine step burns several Python frames, and nested coefficient
-    subtrees multiply the depth; the default interpreter limit and the main
-    thread's C stack are both too small for the deepest legal trees."""
-    result: list = []
-    error: list = []
-
-    def runner():
-        if sys.getrecursionlimit() < 40000:
-            sys.setrecursionlimit(40000)
-        try:
-            result.append(fn())
-        except BaseException as exc:  # re-raised on the calling thread
-            error.append(exc)
-
-    old = threading.stack_size(512 * 1024 * 1024)
-    try:
-        worker = threading.Thread(target=runner)
-        worker.start()
-    finally:
-        threading.stack_size(old)
-    worker.join()
-    if error:
-        raise error[0]
-    return result[0]
-
-
 def monomialize(f: Series, options: EngineOptions = EngineOptions()) -> MonomialisationReport:
     """Monomialisation tree for a single series."""
     engine = _Engine(options)
-    tree = _run_deep(lambda: engine.run(f))
-    return MonomialisationReport(f, tree, engine.audit)
+    return MonomialisationReport(f, engine.run(f), engine.audit)
 
 
 @dataclass
@@ -763,14 +713,14 @@ def division_chain(
                 targets.append(diff)
     prod = _chain_product(live)
     engine = _Engine(options)
-    tree = _run_deep(lambda: engine.run(prod))
+    tree = engine.run(prod)
     # The product being normal modulo the truncation does not force each
     # factor to be normal there; refine any leaf where an input or a pairwise
     # difference is still unresolved, and walk on into the children that
-    # appear.  A refinement that adds no children is repeated on the same
-    # leaf, so a leaf that never resolves ends in CapExceeded.
+    # appear.  The engine is deterministic, so a refinement that adds no
+    # children would add none on any rerun: the leaf cannot be resolved.
     resolved = []  # (chain, normal forms of the live inputs) per final leaf
-    for chain, leaf, pulled in _pulled_branches(tree, targets):
+    for chain, leaf, pulled in tree.pulled_branches(targets):
         forms = [normal_form(p) for p in pulled]
         if all(nf is not None or p.is_zero() for p, nf in zip(pulled, forms)):
             resolved.append((chain, forms[: len(live)]))
@@ -781,9 +731,12 @@ def division_chain(
         p_leaf = live_p[0]
         for q in live_p[1:]:
             p_leaf = p_leaf * q
-        while leaf.is_leaf():
-            leaf.payload = {}
-            _run_deep(lambda: engine.process(leaf, p_leaf, len(chain)))
+        leaf.payload = {}
+        engine.process(leaf, p_leaf, len(chain))
+        if leaf.is_leaf():
+            raise CapExceeded(
+                f"refinement adds no chart to the branch {chain_to_json(chain)}"
+            )
     # The ordering check runs only once refinement has ended, as the leaf
     # records are built: an unordered leaf must not pre-empt a CapExceeded
     # that a later refinement would raise.

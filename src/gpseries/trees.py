@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .series import Rational, Signature
+from .series import Rational, Series, SeriesError, Signature
 from .transforms import (
     INF,
     NEG_INF,
     ElementaryTransform,
+    TransformError,
     chain_sigs,
     transform_from_json,
 )
@@ -49,17 +50,34 @@ class AdmissibleTree:
 
     def branches(self) -> Iterator[tuple[list[ElementaryTransform], TreeNode]]:
         """Depth-first, left-to-right enumeration of (chain, leaf) pairs."""
+        for chain, leaf, _ in self.pulled_branches(()):
+            yield chain, leaf
 
-        def walk(node: TreeNode, chain: list):
+    def pulled_branches(self, series: Sequence[Series]):
+        """Yield (chain, leaf, pulled) for every branch, in ``branches()``
+        order; ``pulled`` holds each of ``series`` pulled back along the
+        chain, as ``pullback_chain`` would give it.
+
+        Every series is pulled through every edge once.  A node's pulled list
+        is made when the node is popped, so only the lists of the current path
+        and of its pending siblings' parents are alive.  A consumer may refine
+        a yielded leaf: the children it has on resumption are walked next."""
+        stack = [(self.root, [], list(series))]
+        while stack:
+            node, chain, pulled = stack.pop()
+            t = node.transform
+            if t is not None:
+                chain = chain + [t]
+                try:
+                    pulled = [t.pullback(f) for f in pulled]
+                except SeriesError as exc:
+                    raise TransformError(
+                        f"step {len(chain)} ({t.describe()}): {exc}"
+                    ) from exc
             if node.is_leaf():
-                yield list(chain), node
-                return
-            for child in node.children:
-                chain.append(child.transform)
-                yield from walk(child, chain)
-                chain.pop()
-
-        yield from walk(self.root, [])
+                yield chain, node, pulled
+            for child in reversed(node.children):
+                stack.append((child, chain, pulled))
 
     def leaves(self) -> list[TreeNode]:
         return [leaf for _, leaf in self.branches()]

@@ -111,9 +111,32 @@ def test_invalid_threads_exits_one(tmp_path):
     assert main(["monomialize", path, "--threads", "0"]) == 1
 
 
-# sha256 of the --json output: three division-chain families and the cone and
-# cusp parametrisations; the bytes must not change when only speed does
+# sha256 of the --json output: four monomialisations (y1*y2 - x1^2 runs the
+# joint coefficient step and embeds its subtree; the x2^(1/2) input also makes
+# the embedding ramify before a chart), three division-chain families and the
+# cone and cusp parametrisations; the bytes, and with them the engine's tree
+# and audit order, must not change when only speed does
 PINNED_OUTPUTS = {
+    "monomialize-y1y2": (
+        ["monomialize"],
+        "vars x:1 y:2\ny1*y2 - x1^2;\n",
+        "89939e7ecaa98996bdd3c4dd117535dacdb12bcebc0262dbd8e4c480852c4d2e",
+    ),
+    "monomialize-y1y2-square": (
+        ["monomialize"],
+        "vars x:1 y:2\ny1^2 - x1^2*y2^2;\n",
+        "29d8ab9f09c1c3adf15755ae99123a9f350032a31fbdcae57cffade5b09fa32b",
+    ),
+    "monomialize-ramified-embed": (
+        ["monomialize"],
+        "vars x:2 y:1\ny1^2 + x2^(1/2)*y1^2 + x1^2 - x2^2;\n",
+        "43591b80393e7bb2cc88a31200b543b2b325161ae7015aedb1b6a7f3e834f5fa",
+    ),
+    "monomialize-cusp": (
+        ["monomialize"],
+        "vars x:1 y:1\ny1^2 - x1^3;\n",
+        "4625050ca23d75638569550a81f805c73b859c8bc2fc7308dc86f688722e01a1",
+    ),
     "divide-family-0": (
         ["divide"],
         "vars x:1 y:1\ny1^2 - x1^2;\nx1;\ny1;\n",

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -148,6 +151,60 @@ def test_depth_cap_raises():
         monomialize(ps("y1^2 - x1^3", 1, 1), EngineOptions(max_depth=0))
 
 
+def _nonzero_draw(seed, sig, k, **kw):
+    """The k-th nonzero draw of ``random_series`` from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) <= k:
+        f = random_series(rng, sig, **kw)
+        if not f.is_zero():
+            draws.append(f)
+    return draws[k]
+
+
+@pytest.mark.parametrize(
+    "seed,k,text",
+    [
+        (7, 0, "3*y1^4 - 4/3*x1^2*y1^3 - 4*y1^3*y2^3"),
+        (8, 2, "4*y1^4*y2 - 2/3*x1^3*y2^2"),
+    ],
+)
+def test_joint_step_without_charts_fails_fast(seed, k, text):
+    # the coefficient subtree is a single leaf, so resuming at the node would
+    # rerun the same step until the step budget ran out
+    f = _nonzero_draw(seed, Signature(1, 2), k, nterms=3)
+    assert render(f) == text
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="joint coefficient step at depth"):
+        monomialize(f)
+    assert time.monotonic() - start < 2.0
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def test_engine_leaves_recursion_limit_and_threads_alone():
+    # the engine is a loop over an explicit stack: it needs neither a deep
+    # Python stack nor a worker thread, and changes no process-wide setting
+    f = ps("y1*y2 - x1^2", 1, 2)
+    family = [ps(t, 1, 1) for t in CHAIN_FAMILIES[1]]
+    old_limit = sys.getrecursionlimit()
+    threads = threading.active_count()
+    limit = _frame_depth() + 50
+    sys.setrecursionlimit(limit)
+    try:
+        assert len(monomialize(f).tree.leaves()) == 81
+        assert division_chain(family).leaves
+        assert sys.getrecursionlimit() == limit
+    finally:
+        sys.setrecursionlimit(old_limit)
+    assert threading.active_count() == threads
+
+
 def test_audit_records_steps():
     report = monomialize(ps("y1^2 - x1^3", 1, 1))
     assert report.audit
@@ -232,6 +289,18 @@ def test_division_chain_single_input_equals_monomialize():
     for entry in res.leaves:
         (fac,) = entry["factors"]
         assert fac["kind"] in ("normal", "zero")
+
+
+def test_division_chain_refinement_without_charts_fails_fast():
+    # both inputs are normal, but their product is normal only modulo the
+    # truncation, so refining the leaf adds no chart; a rerun would add none
+    rng = random.Random(5)
+    pair = [random_series(rng, SIG11, nterms=2, fractional_x=False) for _ in range(2)]
+    assert [render(p) for p in pair] == ["2*x1^4", "-2*y1 + 1/3*x1^3*y1"]
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="refinement adds no chart to the branch"):
+        division_chain(pair)
+    assert time.monotonic() - start < 2.0
 
 
 def test_division_chain_rejects_empty_and_mismatched():
