@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -26,7 +27,7 @@ from .series import (
     set_y_to_zero,
 )
 from .monomialize import EngineOptions, NormalForm, division_chain
-from .transforms import chain_to_json, forward_chain, inverse_chain
+from .transforms import _forward_walk, _inverse_walk, chain_sigs, chain_to_json
 
 ZERO, POS, NEG = "zero", "pos", "neg"
 
@@ -88,6 +89,12 @@ class ParamPiece:
             "leaf_sig": list(self.leaf_sig),
             "quadrant": self.quadrant.to_json(),
         }
+
+    @cached_property
+    def _sigs(self) -> list:
+        """``chain_sigs`` of the chain, computed once for all the points a
+        piece maps."""
+        return chain_sigs(self.chain, self.sig)
 
 
 @dataclass
@@ -236,7 +243,7 @@ def sample_piece(
         else:
             v = rng.uniform(radius * 1e-3, radius)
             coords.append(v if s == POS else -v)
-    reduced = forward_chain(piece.chain, coords, piece.sig)
+    reduced = _forward_walk(piece.chain, piece._sigs, coords)
     return embed_zeros(piece, reduced, ambient_sig)
 
 
@@ -254,7 +261,7 @@ def piece_covers(
     reduced = strip_zeros(piece, ambient_point, ambient_sig)
     if reduced is None:
         return False
-    q = inverse_chain(piece.chain, reduced, piece.sig)
+    q = _inverse_walk(piece.chain, piece._sigs, reduced)
     if q is None:
         return False
     m = piece.leaf_sig.m
@@ -270,7 +277,7 @@ def piece_covers(
             clamped.append(max(fv, 0.0))
         else:
             clamped.append(min(fv, 0.0))
-    back = forward_chain(piece.chain, clamped, piece.sig)
+    back = _forward_walk(piece.chain, piece._sigs, clamped)
     scale = max(1e-12, max(abs(float(v)) for v in reduced) if reduced else 0.0)
     err = max(abs(float(a) - float(b)) for a, b in zip(back, reduced))
     return err <= tol * scale

@@ -96,9 +96,12 @@ class Series:
     operations, ``substitute_y``, the transform pullbacks and the splitting
     helpers of the division and monomialisation layers build their results
     from canonical operands this way.
+
+    The ``_eval`` slot holds the point-independent part of ``evaluate``,
+    built on the first evaluation; it takes no part in equality or hashing.
     """
 
-    __slots__ = ("sig", "terms", "precision")
+    __slots__ = ("sig", "terms", "precision", "_eval")
 
     def __init__(
         self,
@@ -495,6 +498,16 @@ class Evaluation(NamedTuple):
 def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
     """Evaluate at a rational point; exact when every power is rational.
 
+    Float coordinates are read as the exact dyadic rationals they denote.
+    When every x-exponent is an integer the value is computed in integers:
+    with the coefficients written over the lcm ``L`` of their denominators
+    and coordinate ``i`` as ``n_i / d_i``, each term becomes an integer over
+    ``D = L * prod d_i^(E_i)``, where ``E_i`` is the largest exponent of
+    coordinate ``i``, and the result is the single ``Fraction(sum, D)``.  This
+    is the exact value, so it equals what a term-by-term ``Fraction`` sum
+    gives.  A fractional x-exponent is evaluated term by term, falling back
+    to floats from the first power that is irrational.
+
     The tail bound is C * ||p||^delta with C the sum of absolute
     coefficients and ||p|| the max-norm of the point.
     """
@@ -502,10 +515,87 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
         raise SeriesError(
             f"point of length {len(point)} for signature {a.sig}"
         )
-    pt = [Fraction(p) for p in point]
+    ratios = [_ratio(p) for p in point]
     for i in range(a.sig.m):
-        if pt[i] < 0:
-            raise SeriesError(f"negative x-coordinate {pt[i]} at position {i+1}")
+        if ratios[i][0] < 0:
+            raise SeriesError(
+                f"negative x-coordinate {Fraction(*ratios[i])} at position {i+1}"
+            )
+    table = _eval_table(a)
+    if table.rows is None:
+        total = _evaluate_by_terms(a, [Fraction(n, d) for n, d in ratios])
+    else:
+        den = table.den
+        weights = []
+        for k, top in zip(table.active, table.top):
+            n, d = ratios[k]
+            npow, dpow = [1], [1]
+            for _ in range(top):
+                npow.append(npow[-1] * n)
+                dpow.append(dpow[-1] * d)
+            den *= dpow[top]
+            weights.append([npow[e] * dpow[top - e] for e in range(top + 1)])
+        num = 0
+        for c, es in table.rows:
+            for w, e in zip(weights, es):
+                c *= w[e]
+            num += c
+        total = Fraction(num, den)
+    # n / d is float(Fraction(n, d)): both round the exact quotient once
+    norm = max((abs(n / d) for n, d in ratios), default=0.0)
+    tail = table.csum * norm ** table.fprec if norm > 0 else 0.0
+    return Evaluation(total, tail)
+
+
+def _ratio(p) -> tuple[int, int]:
+    """``p`` as a numerator and a positive denominator in lowest terms,
+    exactly as ``Fraction(p)`` reads it."""
+    if type(p) is float:
+        return p.as_integer_ratio()
+    q = p if type(p) is Fraction else Fraction(p)
+    return q.numerator, q.denominator
+
+
+class _EvalTable(NamedTuple):
+    """What ``evaluate`` needs of a series, independent of the point."""
+
+    rows: Optional[list]  # (c * den, active exponents) per term; None if an x-exponent is fractional
+    active: tuple  # the coordinates with a nonzero exponent in some term
+    top: tuple  # the largest exponent of each active coordinate
+    den: int  # lcm of the coefficient denominators
+    csum: float  # sum of absolute coefficients
+    fprec: float  # the precision
+
+
+def _eval_table(a: Series) -> _EvalTable:
+    """The evaluation table of ``a``, built on first use and kept on the
+    (immutable) series."""
+    try:
+        return a._eval
+    except AttributeError:
+        pass
+    coeffs = a.terms.values()
+    csum = float(sum(abs(c) for c in coeffs))
+    fprec = float(a.precision)
+    if any(e.denominator != 1 for xs, _ in a.terms for e in xs):
+        table = _EvalTable(None, (), (), 1, csum, fprec)
+    else:
+        exps = [tuple(map(int, xs + ys)) for xs, ys in a.terms]
+        width = a.sig.m + a.sig.n
+        top = [max((es[k] for es in exps), default=0) for k in range(width)]
+        active = tuple(k for k in range(width) if top[k])
+        den = math.lcm(*(c.denominator for c in coeffs))
+        rows = [
+            (c.numerator * (den // c.denominator), tuple(es[k] for k in active))
+            for c, es in zip(coeffs, exps)
+        ]
+        table = _EvalTable(rows, active, tuple(top[k] for k in active), den, csum, fprec)
+    object.__setattr__(a, "_eval", table)
+    return table
+
+
+def _evaluate_by_terms(a: Series, pt: list[Fraction]) -> Union[Fraction, float]:
+    """Term-by-term evaluation for a series with a fractional x-exponent."""
     exact = True
     total: Union[Fraction, float] = Fraction(0)
     for (xs, ys), c in a.terms.items():
@@ -525,10 +615,7 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
         total = total + term if (isinstance(total, Fraction) and isinstance(term, Fraction)) else float(total) + float(term)
     if not exact and isinstance(total, Fraction):
         total = float(total)
-    norm = max((abs(float(p)) for p in pt), default=0.0)
-    csum = float(sum(abs(c) for c in a.terms.values()))
-    tail = csum * norm ** float(a.precision) if norm > 0 else 0.0
-    return Evaluation(total, tail)
+    return total
 
 
 # -- monomial factor / division --------------------------------------------
@@ -579,14 +666,21 @@ def invert_unit(u: Series) -> Series:
     # u = c*(1 - e) with ord(e) > 0; inverse = (1/c) * sum e^k
     one = constant(u.sig, 1, u.precision)
     e = one - u.scale(Fraction(1) / c)
+    # e^k has order >= k*ord(e), so it truncates to zero by k = ceil(prec/ord(e))
+    o = e.order()
+    if o == 0:
+        raise SeriesError("cannot invert: 1 - u/u(0) keeps a constant term")
+    steps = 1 if o is None else math.ceil(u.precision / o) + 1
     acc = constant(u.sig, 1, u.precision)
     term = constant(u.sig, 1, u.precision)
-    while True:
+    for _ in range(steps):
         term = term * e
         term = term.truncate(u.precision)
         if term.is_zero():
             break
         acc = acc + term
+    else:
+        raise SeriesError(f"cannot invert: 1 - u/u(0) has no zero power in {steps} steps")
     return acc.scale(Fraction(1) / c).truncate(u.precision)
 
 

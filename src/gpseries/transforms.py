@@ -6,8 +6,9 @@ sends a series F over the upstream signature to F o nu over the downstream
 one, computed exactly on each term and truncated to a soundly propagated
 precision.
 
-Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``; all other
-parameters are exact rationals.
+Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
+module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
+identity; all other parameters are exact rationals.
 """
 
 from __future__ import annotations
@@ -24,9 +25,13 @@ from .series import (
     Signature,
     SignatureMismatch,
     _pruned,
+    _rational_power,
     binom,
+    evaluate,
     insert_y,
+    render,
     substitute_y,
+    y_var,
 )
 
 INF = "inf"
@@ -44,8 +49,11 @@ class NeedsRamification(TransformError):
 
 
 def _lam(value) -> Lambda:
-    if value in (INF, NEG_INF):
-        return value
+    if isinstance(value, str):
+        if value == INF:
+            return INF
+        if value == NEG_INF:
+            return NEG_INF
     return Fraction(value)
 
 
@@ -134,7 +142,7 @@ class BlowUpXX(ElementaryTransform):
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        if self.lam == INF:
+        if self.lam is INF:
             return BlowUpXX(self.j, self.i, 0).pullback(f)
         if self.lam == 0:
             terms = {}
@@ -162,7 +170,7 @@ class BlowUpXX(ElementaryTransform):
         return _pruned(sig2, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        if self.lam == INF:
+        if self.lam is INF:
             return BlowUpXX(self.j, self.i, 0).forward_point_sig(p, sig)
         if self.lam == 0:
             q = list(p)
@@ -177,7 +185,7 @@ class BlowUpXX(ElementaryTransform):
         return nxs + ys
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        if self.lam == INF:
+        if self.lam is INF:
             return BlowUpXX(self.j, self.i, 0).inverse_point(p, sig)
         if self.lam == 0:
             if p[self.j - 1] == 0:
@@ -218,15 +226,15 @@ class BlowUpYX(ElementaryTransform):
             raise TransformError(f"indices ({self.i},{self.j}) out of range for {sig}")
 
     def result_sig(self, sig: Signature) -> Signature:
-        if self.lam in (INF, NEG_INF):
+        if isinstance(self.lam, str):
             return Signature(sig.m + 1, sig.n - 1)
         return sig
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
         m, n = f.sig
-        if self.lam in (INF, NEG_INF):
-            sign = 1 if self.lam == INF else -1
+        if isinstance(self.lam, str):
+            sign = 1 if self.lam is INF else -1
             sig2 = self.result_sig(f.sig)
             terms = {}
             for (xs, ys), c in f.terms.items():
@@ -249,8 +257,8 @@ class BlowUpYX(ElementaryTransform):
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m, n = sig
-        if self.lam in (INF, NEG_INF):
-            sign = 1 if self.lam == INF else -1
+        if isinstance(self.lam, str):
+            sign = 1 if self.lam is INF else -1
             xs = list(p[: m + 1])
             ys = list(p[m + 1 :])
             xnew = xs[m]
@@ -265,8 +273,8 @@ class BlowUpYX(ElementaryTransform):
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         m, n = sig
-        if self.lam in (INF, NEG_INF):
-            sign = 1 if self.lam == INF else -1
+        if isinstance(self.lam, str):
+            sign = 1 if self.lam is INF else -1
             yi = p[m + self.i - 1]
             xnew = sign * yi
             if xnew < 0:
@@ -302,7 +310,7 @@ class BlowUpYY(ElementaryTransform):
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _lam(self.lam))
-        if self.lam == NEG_INF:
+        if self.lam is NEG_INF:
             raise TransformError("y-y charts use lam in Q or inf")
 
     def validate(self, sig: Signature) -> None:
@@ -316,7 +324,7 @@ class BlowUpYY(ElementaryTransform):
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        if self.lam == INF:
+        if self.lam is INF:
             return BlowUpYY(self.j, self.i, 0).pullback(f)
         terms = {}
         for (xs, ys), c in f.terms.items():
@@ -331,7 +339,7 @@ class BlowUpYY(ElementaryTransform):
         return _pruned(f.sig, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        if self.lam == INF:
+        if self.lam is INF:
             return BlowUpYY(self.j, self.i, 0).forward_point_sig(p, sig)
         m = sig.m
         q = list(p)
@@ -339,7 +347,7 @@ class BlowUpYY(ElementaryTransform):
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        if self.lam == INF:
+        if self.lam is INF:
             return BlowUpYY(self.j, self.i, 0).inverse_point(p, sig)
         m = sig.m
         if p[m + self.j - 1] == 0:
@@ -391,16 +399,12 @@ class Tschirnhausen(ElementaryTransform):
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
         j = self._index(f.sig)
-        from .series import y_var
-
         h_emb = insert_y(self.h, j)
         rep = y_var(f.sig, j, f.precision) + h_emb.truncate(f.precision)
         # substitute_y requires zero constant term; rep = y_j + h qualifies
         return substitute_y(f, {j: rep})
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        from .series import evaluate
-
         m, n = sig
         j = self._index(sig)
         args = list(p[: m + j - 1]) + list(p[m + j :])
@@ -410,8 +414,6 @@ class Tschirnhausen(ElementaryTransform):
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        from .series import evaluate
-
         m, n = sig
         j = self._index(sig)
         args = list(p[: m + j - 1]) + list(p[m + j :])
@@ -421,8 +423,6 @@ class Tschirnhausen(ElementaryTransform):
         return q
 
     def to_json(self) -> dict:
-        from .series import render
-
         return {
             "kind": "tschirnhausen",
             "h": render(self.h),
@@ -456,8 +456,6 @@ class Linear(ElementaryTransform):
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        from .series import y_var
-
         reps = {}
         for k, ck in enumerate(self.c, start=1):
             if ck == 0:
@@ -536,8 +534,6 @@ class RamifyX(ElementaryTransform):
 
 
 def _power_numeric(v, e: Fraction):
-    from .series import _rational_power
-
     if v == 0:
         return Fraction(0) if e > 0 else None
     if isinstance(v, Fraction) and v > 0:
@@ -653,18 +649,14 @@ class SignChart(ElementaryTransform):
 
 
 _KINDS = {
-    "blowup_xx": lambda d: BlowUpXX(d["i"], d["j"], _lam_from_json(d["lam"])),
-    "blowup_yx": lambda d: BlowUpYX(d["i"], d["j"], _lam_from_json(d["lam"])),
-    "blowup_yy": lambda d: BlowUpYY(d["i"], d["j"], _lam_from_json(d["lam"])),
+    "blowup_xx": lambda d: BlowUpXX(d["i"], d["j"], d["lam"]),
+    "blowup_yx": lambda d: BlowUpYX(d["i"], d["j"], d["lam"]),
+    "blowup_yy": lambda d: BlowUpYY(d["i"], d["j"], d["lam"]),
     "linear": lambda d: Linear(d["i"], tuple(Fraction(v) for v in d["c"])),
     "ramify_x": lambda d: RamifyX(d["i"], Fraction(d["gamma"])),
     "ramify_y": lambda d: RamifyY(d["i"], d["d"], d["sign"]),
     "sign_chart": lambda d: SignChart(d["i"], d["sign"]),
 }
-
-
-def _lam_from_json(v):
-    return v if v in (INF, NEG_INF) else Fraction(v)
 
 
 def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransform:
@@ -721,18 +713,30 @@ def forward_chain(
     chain: Sequence[ElementaryTransform], p: Sequence, sig: Signature
 ) -> Point:
     """Image of a leaf point under nu_1 o ... o nu_N."""
-    sigs = chain_sigs(chain, sig)
-    q = list(p)
-    for t, s in zip(reversed(chain), reversed(sigs[:-1])):
-        q = t.forward_point_sig(q, s)
-    return q
+    return _forward_walk(chain, chain_sigs(chain, sig), p)
 
 
 def inverse_chain(
     chain: Sequence[ElementaryTransform], p: Sequence, sig: Signature
 ) -> Optional[Point]:
     """Numeric preimage of an upstream point through the whole chain."""
-    sigs = chain_sigs(chain, sig)
+    return _inverse_walk(chain, chain_sigs(chain, sig), p)
+
+
+def _forward_walk(
+    chain: Sequence[ElementaryTransform], sigs: Sequence[Signature], p: Sequence
+) -> Point:
+    """``forward_chain`` with the chain's ``chain_sigs`` already computed."""
+    q = list(p)
+    for t, s in zip(reversed(chain), reversed(sigs[:-1])):
+        q = t.forward_point_sig(q, s)
+    return q
+
+
+def _inverse_walk(
+    chain: Sequence[ElementaryTransform], sigs: Sequence[Signature], p: Sequence
+) -> Optional[Point]:
+    """``inverse_chain`` with the chain's ``chain_sigs`` already computed."""
     q = list(p)
     for t, s in zip(chain, sigs[:-1]):
         q = t.inverse_point(q, s)

@@ -83,12 +83,14 @@ class AdmissibleTree:
         return [leaf for _, leaf in self.branches()]
 
     def height(self) -> int:
-        def depth(node: TreeNode) -> int:
-            if node.is_leaf():
-                return 0
-            return 1 + max(depth(c) for c in node.children)
-
-        return depth(self.root)
+        """Edges on the longest root-to-leaf path, by an explicit-stack walk."""
+        best = 0
+        stack = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
+            best = max(best, depth)
+            stack.extend((c, depth + 1) for c in node.children)
+        return best
 
     def leaf_sig(self, chain: Sequence[ElementaryTransform]) -> Signature:
         return chain_sigs(chain, self.sig)[-1]

@@ -1,5 +1,6 @@
 """Quadrant parametrisation of basic sets and the numeric membership oracle."""
 
+from collections import Counter
 from fractions import Fraction
 import math
 import random
@@ -87,6 +88,53 @@ def test_cusp_parametrization():
         x = rng.uniform(1e-3, 0.01)
         y = 2.0 * x ** 1.5
         assert not any(piece_covers(p, [x, y], SIG11, tol=1e-3) for p in param.pieces)
+
+
+def _acceptance_7_points(n=2500):
+    """The four point lists of acceptance test 7 (seed 9001), in its order."""
+    rng = random.Random(9001)
+    cone_on = [[t, t] for t in (rng.uniform(1e-4, 0.01) for _ in range(n))]
+    cone_off = []
+    for _ in range(n):
+        x = rng.uniform(1e-3, 0.01)
+        cone_off.append([x, x * rng.choice([0.5, 2.0, -1.0])])
+    cusp_on = []
+    for _ in range(n):
+        x = rng.uniform(1e-4, 0.01)
+        cusp_on.append([x, rng.choice([1.0, -1.0]) * x**1.5])
+    cusp_off = []
+    for _ in range(n):
+        x = rng.uniform(1e-3, 0.01)
+        cusp_off.append([x, rng.choice([2.0, -0.5]) * x**1.5])
+    return {"cone": (cone_on, cone_off), "cusp": (cusp_on, cusp_off)}
+
+
+# (covered, membership verdict counts) of the first 500 points of each list;
+# 85 on-set cusp points read OUT, because a float point sits off the cusp by
+# a rounding that the tail bound does not cover
+PINNED_COUNTS = {
+    ("cone", "on"): (500, {UNKNOWN: 500}),
+    ("cone", "off"): (0, {OUT: 500}),
+    ("cusp", "on"): (500, {OUT: 85, UNKNOWN: 415}),
+    ("cusp", "off"): (0, {OUT: 500}),
+}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [("cone", "y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0"), ("cusp", "y1^2 - x1^3 = 0 & x1 > 0")],
+    ids=["cone", "cusp"],
+)
+def test_pinned_covering_and_membership_counts(name, text):
+    b = bset(text)
+    param = parametrize_basic(b)
+    for side, pts in zip(("on", "off"), _acceptance_7_points()[name]):
+        pts = pts[:500]
+        covered = sum(
+            any(piece_covers(p, q, SIG11, tol=1e-3) for p in param.pieces) for q in pts
+        )
+        verdicts = Counter(membership(b, q) for q in pts)
+        assert (covered, dict(verdicts)) == PINNED_COUNTS[(name, side)], side
 
 
 def test_hyperplane_pieces_cover_boundary():

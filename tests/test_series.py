@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from gpseries.series import (
     mul_monomial,
     nth_root_rational,
     partial_y,
+    _rational_power,
     render,
     set_x_to_zero,
     set_y_to_zero,
@@ -43,10 +45,11 @@ SIG21 = Signature(2, 1)
 
 small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 x_exps = st.fractions(min_value=0, max_value=4, max_denominator=2)
+int_x_exps = st.integers(min_value=0, max_value=4).map(Fraction)
 y_exps = st.integers(min_value=0, max_value=4)
 
 
-def series_st(sig: Signature, prec=8):
+def series_st(sig: Signature, prec=8, x_exps=x_exps):
     exps = st.tuples(
         st.tuples(*([x_exps] * sig.m)), st.tuples(*([y_exps] * sig.n))
     )
@@ -240,6 +243,31 @@ def test_invert_nonunit_rejected():
         invert_unit(x_var(SIG11, 1, 8))
 
 
+def _add_keeping_zeros(self, other):
+    """``Series.__add__`` without the pruning of cancelled sums."""
+    terms = dict(self.terms)
+    for exp, c in other.terms.items():
+        terms[exp] = terms.get(exp, Fraction(0)) + c
+    return Series._trusted(self.sig, terms, min(self.precision, other.precision))
+
+
+@pytest.mark.parametrize(
+    "attr, broken",
+    [("__add__", _add_keeping_zeros), ("is_zero", lambda self: False)],
+    ids=["zero-constant-term", "never-zero"],
+)
+def test_invert_unit_stops_on_a_broken_kernel(monkeypatch, attr, broken):
+    # with cancelled sums kept, 1 - u/u(0) has order 0 and its powers never
+    # truncate to zero; with is_zero always false, the loop is never told
+    # they did.  Either way the inversion fails at once instead of spinning.
+    u = ps("2 + x1 - 3*x1*y1", 1, 1)
+    monkeypatch.setattr(Series, attr, broken)
+    start = time.monotonic()
+    with pytest.raises(SeriesError, match="cannot invert"):
+        invert_unit(u)
+    assert time.monotonic() - start < 1.0
+
+
 def test_binomial_series_half():
     # (Y + 1)^(1/2) truncated at degree 3
     s = binomial_series(1, Fraction(1, 2), 3)
@@ -307,6 +335,60 @@ def test_evaluate_value_and_tail():
     assert ev.value == Fraction(1, 4) + Fraction(1, 4)
     # tail bound is (sum |coeffs| style) * r^precision with r = max coord
     assert ev.tail_bound >= 0
+
+
+def _evaluate_by_fractions(a, point):
+    """Reference for ``evaluate``: the term-by-term ``Fraction`` sum it used
+    before the common-denominator evaluation, with its float fallback."""
+    pt = [Fraction(p) for p in point]
+    exact = True
+    total = Fraction(0)
+    for (xs, ys), c in a.terms.items():
+        term = c
+        for base, e in zip(pt[: a.sig.m], xs):
+            if e == 0:
+                continue
+            p = _rational_power(base, e) if base > 0 else (Fraction(0) if e > 0 else None)
+            if p is None:
+                exact = False
+                term = float(term) * float(base) ** float(e)
+            else:
+                term = term * p if isinstance(term, Fraction) else term * float(p)
+        for base, e in zip(pt[a.sig.m :], ys):
+            if e:
+                term = term * base**e if isinstance(term, Fraction) else term * float(base**e)
+        total = total + term if (isinstance(total, Fraction) and isinstance(term, Fraction)) else float(total) + float(term)
+    if not exact and isinstance(total, Fraction):
+        total = float(total)
+    norm = max((abs(float(p)) for p in pt), default=0.0)
+    csum = float(sum(abs(c) for c in a.terms.values()))
+    tail = csum * norm ** float(a.precision) if norm > 0 else 0.0
+    return total, tail
+
+
+x_coords = st.one_of(
+    st.just(0.0), st.integers(0, 2), st.floats(0, 1), st.fractions(0, 1, max_denominator=50)
+)
+y_coords = st.one_of(
+    st.just(0.0), st.integers(-2, 2), st.floats(-1, 1), st.fractions(-1, 1, max_denominator=50)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_matches_fraction_sum(data):
+    # bit for bit: the value (type included) and the tail bound, with integer
+    # and fractional x-exponents, float, Fraction and int coordinates
+    sig = data.draw(st.sampled_from([SIG11, SIG21, Signature(1, 0), Signature(0, 2)]))
+    a = data.draw(st.one_of(series_st(sig), series_st(sig, x_exps=int_x_exps)))
+    point = [data.draw(x_coords) for _ in range(sig.m)]
+    point += [data.draw(y_coords) for _ in range(sig.n)]
+    value, tail = _evaluate_by_fractions(a, point)
+    for _ in range(2):  # the second call reads the table kept on the series
+        ev = evaluate(a, point)
+        assert type(ev.value) is type(value)
+        assert ev.value == value
+        assert ev.tail_bound == tail
 
 
 def test_evaluate_is_multiplicative():

@@ -208,9 +208,11 @@ def test_forward_inverse_roundtrip():
 
 def test_inverse_outside_chart_image():
     # the lambda = 1/2 chart only covers y/x near 1/2; a point with y/x = 50
-    # has no preimage with small coordinates
+    # has no preimage with small coordinates: its y-coordinate is 49.5
     t = BlowUpYX(1, 1, Fraction(1, 2))
-    assert inverse_chain([t], [0.01, 0.5], SIG11) is None or True
+    back = inverse_chain([t], [0.01, 0.5], SIG11)
+    assert back == pytest.approx([0.01, 49.5], rel=1e-12)
+    assert abs(back[1]) > 1
     # the zero chart cannot invert points with x = 0, y != 0
     assert inverse_chain([BlowUpYX(1, 1, 0)], [0.0, 0.3], SIG11) is None
 

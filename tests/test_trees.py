@@ -1,6 +1,7 @@
 """Transformation trees, chart-parameter palettes, JSON round trips."""
 
 from fractions import Fraction
+import sys
 
 import pytest
 
@@ -16,7 +17,7 @@ from gpseries.trees import (
     tree_from_json,
     tree_to_json,
 )
-from gpseries.transforms import INF, NEG_INF, BlowUpYX, Tschirnhausen
+from gpseries.transforms import INF, NEG_INF, BlowUpYX, Linear, Tschirnhausen
 from gpseries.monomialize import monomialize
 from conftest import ps
 
@@ -76,6 +77,21 @@ def test_zero_height_tree():
     assert len(tree.leaves()) == 1
     ((chain, leaf),) = tree.branches()
     assert chain == []
+
+
+def test_height_of_a_deep_chain_at_the_default_recursion_limit():
+    # one Linear edge per level; height() walks without recursing
+    root = TreeNode()
+    node = root
+    for _ in range(1000):
+        node = node.add_child(Linear(1, ()))
+    tree = AdmissibleTree(SIG11, root)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert tree.height() == 1000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_tree_json_roundtrip_on_real_tree():
