@@ -111,11 +111,12 @@ def test_invalid_threads_exits_one(tmp_path):
     assert main(["monomialize", path, "--threads", "0"]) == 1
 
 
-# sha256 of the --json output: four monomialisations (y1*y2 - x1^2 runs the
+# sha256 of the --json output: seven monomialisations (y1*y2 - x1^2 runs the
 # joint coefficient step and embeds its subtree; the x2^(1/2) input also makes
-# the embedding ramify before a chart), three division-chain families and the
-# cone and cusp parametrisations; the bytes, and with them the engine's tree
-# and audit order, must not change when only speed does
+# the embedding ramify before a chart; the last three reach the y-y, the y-x
+# and the ramified x-x principalisation chart families), three division-chain
+# families and the cone and cusp parametrisations; the bytes, and with them
+# the engine's tree and audit order, must not change when only speed does
 PINNED_OUTPUTS = {
     "monomialize-y1y2": (
         ["monomialize"],
@@ -136,6 +137,21 @@ PINNED_OUTPUTS = {
         ["monomialize"],
         "vars x:1 y:1\ny1^2 - x1^3;\n",
         "4625050ca23d75638569550a81f805c73b859c8bc2fc7308dc86f688722e01a1",
+    ),
+    "monomialize-principalize-yy": (
+        ["monomialize", "--precision", "3"],
+        "vars x:2 y:2\nx1*y1 + x1*y2 + x2^3;\n",
+        "9439395120d33142cf81051a84df8ebfc0cdfecfcec312e91ff8991fbad2254c",
+    ),
+    "monomialize-principalize-yx": (
+        ["monomialize"],
+        "vars x:2 y:1\nx1*y1 + x1^2 + x2^3;\n",
+        "f83a230a3eab8b7b5cbf6914b2eb1fefc2d959cee41c2c848a53bd14a6e07b17",
+    ),
+    "monomialize-principalize-xx-ramified": (
+        ["monomialize"],
+        "vars x:2 y:1\nx1*y1 + x2^(1/2);\n",
+        "7b5cb467fba200e896dc4ca2d74c1dbb365e8a70f5e5efdd02c722138df35c9a",
     ),
     "divide-family-0": (
         ["divide"],
