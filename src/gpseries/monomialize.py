@@ -18,10 +18,23 @@ is one of:
         monomialisation of the lower coefficients in one fewer y-variable,
         then a weighted blow-up family that either monomialises, shrinks
         the critical monomial, or drops the order of regularity.
+
+Every blow-up is one chart family ``src <- tgt * (lam + v)`` over a pair of
+axes (i, j), one child per chart parameter lam; the axes pick the chart and
+the palette:
+
+  * x_i <- x_j: ``BlowUpXX`` charts, lam in ``palette.nonneg`` with the
+    positive critical ratios; x_i is first ramified so that its exponents
+    are integers;
+  * y_i <- x_j: ``BlowUpYX`` charts, lam in ``palette.signed`` with the
+    nonzero critical ratios;
+  * y_i <- y_j: ``BlowUpYY`` charts, lam as for y-x but without -inf, which
+    is the same chart as +inf.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,6 +49,7 @@ from .series import (
     coefficients_in_y,
     common_monomial,
     divide_monomial,
+    insert_y,
     min_support,
     monomial as monomial_series,
     render,
@@ -82,6 +96,14 @@ class EngineOptions:
 class NormalForm:
     monomial: Exponent
     unit: Series
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "normal",
+            "monomial": _monomial_json(self.monomial),
+            "unit": render(self.unit),
+            "precision": str(self.unit.precision),
+        }
 
 
 def normal_form(f: Series) -> Optional[NormalForm]:
@@ -190,13 +212,34 @@ def critical_lambdas(g: Series, src, tgt) -> list[Fraction]:
     return rational_roots([poly.get(k, Fraction(0)) for k in range(deg + 1)])
 
 
-def _first_incomparable_pair(g: Series) -> Optional[tuple[Exponent, Exponent]]:
-    ms = sorted(min_support(g), key=lambda e: (total_degree(e), e[0], e[1]))
-    for a in range(len(ms)):
-        for b in range(a + 1, len(ms)):
-            if not _leq(ms[a], ms[b]) and not _leq(ms[b], ms[a]):
-                return ms[a], ms[b]
+def _first_incomparable_pair(
+    exps: Sequence[Exponent],
+) -> Optional[tuple[Exponent, Exponent]]:
+    """The first pair of exponents in ``exps`` that neither divides."""
+    for k, a in enumerate(exps):
+        for b in exps[k + 1 :]:
+            if not _leq(a, b) and not _leq(b, a):
+                return a, b
     return None
+
+
+def _x_denominator_lcm(f: Series, i: int) -> int:
+    """Least x_i-ramification that makes every x_i-exponent of f an integer."""
+    return math.lcm(*(e[0][i - 1].denominator for e in f.terms))
+
+
+def _child(node: TreeNode, f: Series, t: ElementaryTransform, depth: int):
+    """The engine task for a new child of ``node`` (at ``depth``) along ``t``."""
+    return node.add_child(t), t.pullback(f), depth + 1
+
+
+def _ramify_x(node: TreeNode, i: int, gamma: Fraction, *series: Series):
+    """``(node, *series)`` with x_i <- x_i^gamma added below ``node`` and each
+    series pulled back through it; unchanged when gamma is 1."""
+    if gamma == 1:
+        return (node, *series)
+    t = RamifyX(i, gamma)
+    return (node.add_child(t), *(t.pullback(s) for s in series))
 
 
 def _lowest_homogeneous(g0: Series) -> tuple[Fraction, dict]:
@@ -215,8 +258,6 @@ def _candidate_ints(bound: int):
 
 def _find_shear(part: dict, n: int, d0: int) -> Optional[tuple]:
     """Integer tuple c with H(c_1..c_{n-1}, 1) != 0 for the homogeneous part H."""
-    import itertools
-
     bound = int(d0) + 1
     for c in itertools.product(_candidate_ints(bound), repeat=n - 1):
         val = Fraction(0)
@@ -247,9 +288,7 @@ class _Engine:
         self.steps_used = 0
 
     def log(self, depth: int, action: str, **kw):
-        entry = {"depth": depth, "action": action}
-        entry.update(kw)
-        self.audit.append(entry)
+        self.audit.append({"depth": depth, "action": action, **kw})
 
     def run(self, f: Series) -> AdmissibleTree:
         tree = AdmissibleTree(f.sig)
@@ -286,15 +325,10 @@ class _Engine:
         beta = common_monomial(f)
         g = divide_monomial(f, beta)
         if g.is_unit():
-            node.payload = {
-                "kind": "normal",
-                "monomial": _monomial_json(beta),
-                "unit": render(g),
-                "precision": str(g.precision),
-            }
+            node.payload = NormalForm(beta, g).to_json()
             self.log(depth, "leaf", monomial=_monomial_json(beta))
             return
-        m, n = f.sig
+        n = f.sig.n
         if n and beta[1][-1]:
             # keep any y_n-monomial factor inside the cofactor: recentering in
             # y_n must account for it, otherwise the translate and the next
@@ -317,10 +351,8 @@ class _Engine:
         if shear is None:
             raise EngineError("no integer shear renders the series regular")
         if any(v != 0 for v in shear):
-            t = Linear(n, shear)
             self.log(depth, "shear", c=[str(v) for v in shear])
-            child = node.add_child(t)
-            yield child, t.pullback(f), depth + 1
+            yield _child(node, f, Linear(n, shear), depth)
             return
         d = regular_order(g)
         if d != d0:
@@ -333,7 +365,9 @@ class _Engine:
     # -- principalization of the x-monomial part ----------------------------
 
     def _principalize(self, node: TreeNode, f: Series, g: Series, depth: int):
-        pair = _first_incomparable_pair(g)
+        pair = _first_incomparable_pair(
+            sorted(min_support(g), key=lambda e: (total_degree(e), e[0], e[1]))
+        )
         if pair is None:
             raise EngineError("non-unit cofactor with totally ordered support")
         self.princ_used += 1
@@ -348,53 +382,46 @@ class _Engine:
         gy = [c for c in gt if c[0] == "y"]
         ly = [c for c in lt if c[0] == "y"]
         if gx and lx:
-            yield from self._principalize_xx(node, f, g, gx[0][1], lx[0][1], depth)
+            i, j = max(gx[0][1], lx[0][1]), min(gx[0][1], lx[0][1])
+            src, tgt = ("x", i), ("x", j)
         elif gy and ly:
-            yield from self._principalize_yy(node, f, g, gy[0][1], ly[0][1], depth)
+            src, tgt = gy[0], ly[0]
         else:
             # mixed: one side differs in y, the other in x
-            if gy and lx:
-                yi, xj = gy[0][1], lx[0][1]
-            else:
-                yi, xj = ly[0][1], gx[0][1]
-            yield from self._principalize_yx(node, f, g, yi, xj, depth)
-
-    def _principalize_xx(self, node, f, g, i, j, depth):
-        big, small = max(i, j), min(i, j)
-        denoms = [
-            e[0][big - 1].denominator for e in f.terms if e[0][big - 1] != 0
-        ]
-        lcm = math.lcm(*denoms) if denoms else 1
+            src, tgt = (gy[0], lx[0]) if gy and lx else (ly[0], gx[0])
         base = node
-        if lcm > 1:
-            t = RamifyX(big, Fraction(lcm))
-            base = node.add_child(t)
-            f = t.pullback(f)
-            g = t.pullback(g)
-        extras = [r for r in critical_lambdas(g, ("x", big), ("x", small)) if r > 0]
-        self.log(depth, "principalize_xx", i=big, j=small, extras=[str(v) for v in extras])
-        for lam in self.opt.palette.nonneg(extras):
-            t = BlowUpXX(big, small, lam)
-            child = base.add_child(t)
-            yield child, t.pullback(f), depth + 1 + (lcm > 1)
+        if src[0] == "x":
+            base, f, g = _ramify_x(node, src[1], _x_denominator_lcm(f, src[1]), f, g)
+        yield from self._chart_family(
+            base, f, g, src, tgt, depth, int(base is not node),
+            f"principalize_{src[0]}{tgt[0]}", i=src[1], j=tgt[1],
+        )
 
-    def _principalize_yy(self, node, f, g, i, j, depth):
-        extras = [r for r in critical_lambdas(g, ("y", i), ("y", j)) if r != 0]
-        self.log(depth, "principalize_yy", i=i, j=j, extras=[str(v) for v in extras])
-        for lam in self.opt.palette.signed(extras):
-            if lam == NEG_INF:
-                continue
-            t = BlowUpYY(i, j, lam)
-            child = node.add_child(t)
-            yield child, t.pullback(f), depth + 1
-
-    def _principalize_yx(self, node, f, g, i, j, depth):
-        extras = [r for r in critical_lambdas(g, ("y", i), ("x", j)) if r != 0]
-        self.log(depth, "principalize_yx", i=i, j=j, extras=[str(v) for v in extras])
-        for lam in self.opt.palette.signed(extras):
-            t = BlowUpYX(i, j, lam)
-            child = node.add_child(t)
-            yield child, t.pullback(f), depth + 1
+    def _chart_family(self, node, f, g, src, tgt, depth, lift, action, **log):
+        """One child of ``node`` per chart of the blow-up family
+        ``src <- tgt * (lam + v)``, chart and palette chosen by the axes (see
+        the module docstring).  The audit entry is written at the step's
+        ``depth``; the children go to ``depth + 1 + lift``, where ``lift``
+        counts the ramification edges between the step's node and ``node``."""
+        (src_axis, i), (tgt_axis, j) = src, tgt
+        crit = critical_lambdas(g, src, tgt)
+        if src_axis == "x":
+            extras = [r for r in crit if r > 0]
+            lams = self.opt.palette.nonneg(extras)
+        else:
+            extras = [r for r in crit if r != 0]
+            lams = self.opt.palette.signed(extras)
+            if tgt_axis == "y":
+                lams.remove(NEG_INF)
+        self.log(depth, action, **log, extras=[str(r) for r in extras])
+        for lam in lams:
+            if src_axis == "x":
+                t = BlowUpXX(i, j, lam)
+            elif tgt_axis == "x":
+                t = BlowUpYX(i, j, lam)
+            else:
+                t = BlowUpYY(i, j, lam)
+            yield _child(node, f, t, depth + lift)
 
     # -- regular order 1 ------------------------------------------------------
 
@@ -406,24 +433,20 @@ class _Engine:
         if a.is_zero():
             # already divisible by y_n; should have been factored out
             raise EngineError("vanishing implicit solution past monomial extraction")
-        t = Tschirnhausen(a)
         self.log(depth, "translate_order1", h=render(a))
-        child = node.add_child(t)
-        yield child, t.pullback(f), depth + 1
+        yield _child(node, f, Tschirnhausen(a), depth)
 
     # -- regular order d >= 2 -------------------------------------------------
 
     def _order_d(self, node, f, g, beta, d, depth):
-        m, n = f.sig
+        n = f.sig.n
         try:
             b = tschirnhausen_center(g, d)
         except DivisionError as exc:
             raise PrecisionExhausted(f"center extraction failed: {exc}") from exc
         if not b.is_zero():
-            t = Tschirnhausen(b)
             self.log(depth, "translate_center", d=d, h=render(b))
-            child = node.add_child(t)
-            yield child, t.pullback(f), depth + 1
+            yield _child(node, f, Tschirnhausen(b), depth)
             return
         # Y^{d-1} coefficient vanishes; inspect the lower coefficients
         # every coefficient is kept: g.precision > d was checked in _step
@@ -431,78 +454,41 @@ class _Engine:
         coeffs = {i: by_power[d - i] for i in range(2, d + 1) if d - i in by_power}
         if not coeffs:
             raise EngineError("pure power of y_n past monomial extraction")
-        data = {}
-        good = True
+        forms = {}
         for i, c in coeffs.items():
-            mexp = common_monomial(c)
-            if divide_monomial(c, mexp).is_unit() and mexp[1][-1] == 0:
-                mu = (
-                    tuple(v / i for v in mexp[0]),
-                    tuple(Fraction(v, i) for v in mexp[1]),
-                )
-                data[i] = (mexp, mu)
-            else:
-                good = False
+            nf = normal_form(c)
+            if nf is None:
                 break
-        if good:
-            mus = {i: mu for i, (_, mu) in data.items()}
-            minimal = [
-                i
-                for i, mu in mus.items()
-                if all(_leq(mu, other) for other in mus.values())
-            ]
-            if not minimal:
-                good = False
-        if not good:
+            forms[i] = nf
+        mus = {
+            i: (
+                tuple(v / i for v in nf.monomial[0]),
+                tuple(Fraction(v, i) for v in nf.monomial[1]),
+            )
+            for i, nf in forms.items()
+        }
+        minimal = [
+            i for i, mu in mus.items() if all(_leq(mu, other) for other in mus.values())
+        ]
+        if len(forms) < len(coeffs) or not minimal:
             yield from self._joint_coefficient_step(node, f, g, beta, d, coeffs, depth)
             return
         l = max(minimal)
-        mexp_l, mu_l = data[l]
-        if all(v == 0 for v in mexp_l[0]) and all(v == 0 for v in mexp_l[1]):
-            raise EngineError("unit coefficient contradicts the regular order")
-        target = None
-        for i in range(1, m + 1):
-            if mexp_l[0][i - 1] != 0:
-                target = ("x", i)
-                break
+        mono_l = forms[l].monomial
+        target = next((c for c in _coords(f.sig) if _coord_get(mono_l, c) != 0), None)
         if target is None:
-            for j in range(1, n):
-                if mexp_l[1][j - 1] != 0:
-                    target = ("y", j)
-                    break
-        if target[0] == "x":
-            v = target[1]
-            gamma = mu_l[0][v - 1]
-            base = node
-            extra_depth = 0
-            if gamma != 1:
-                t = RamifyX(v, Fraction(1) / gamma)
-                base = node.add_child(t)
-                f = t.pullback(f)
-                g = t.pullback(g)
-                extra_depth = 1
-            extras = [r for r in critical_lambdas(g, ("y", n), ("x", v)) if r != 0]
-            self.log(
-                depth, "weighted_blowup_x", d=d, l=l, v=v,
-                gamma=str(gamma), extras=[str(r) for r in extras],
-            )
-            for lam in self.opt.palette.signed(extras):
-                t = BlowUpYX(n, v, lam)
-                child = base.add_child(t)
-                yield child, t.pullback(f), depth + 1 + extra_depth
-        else:
-            j = target[1]
-            extras = [r for r in critical_lambdas(g, ("y", n), ("y", j)) if r != 0]
-            self.log(
-                depth, "weighted_blowup_y", d=d, l=l, v=j,
-                extras=[str(r) for r in extras],
-            )
-            for lam in self.opt.palette.signed(extras):
-                if lam == NEG_INF:
-                    continue
-                t = BlowUpYY(n, j, lam)
-                child = node.add_child(t)
-                yield child, t.pullback(f), depth + 1
+            raise EngineError("unit coefficient contradicts the regular order")
+        axis, v = target
+        log = {"d": d, "l": l, "v": v}
+        base = node
+        if axis == "x":
+            gamma = mus[l][0][v - 1]
+            log["gamma"] = str(gamma)
+            base, f, g = _ramify_x(node, v, 1 / gamma, f, g)
+        yield from self._chart_family(
+            base, f, g, ("y", n), target, depth, int(base is not node),
+            f"weighted_blowup_{axis}", **log,
+        )
 
     def _joint_coefficient_step(self, node, f, g, beta, d, coeffs, depth):
         """Monomialise the lower Y_n-coefficients jointly (identity on y_n),
@@ -534,7 +520,10 @@ class _Engine:
             family.append(
                 monomial_series(sub_sig, beta_sub[0], beta_sub[1], f.precision)
             )
-        prod = _chain_product(family)
+        parts = [s for s in family if not s.is_zero()]
+        if not parts:
+            raise EngineError("empty joint family")
+        prod = _product(parts + _pairwise_differences(parts))
         prod = prod.truncate((prod.order() or 0) + f.precision)
         self.log(depth, "joint_coefficients", d=d, count=len(family))
         sub_root = TreeNode()
@@ -561,13 +550,7 @@ class _Engine:
                 # the subtree was planned on the y_n-free coefficient product,
                 # whose exponent denominators may be coarser than f's; clear
                 # f's denominators for the chart variable and retry
-                i = t.i
-                dens = [
-                    e[0][i - 1].denominator for e in fp.terms if e[0][i - 1] != 0
-                ]
-                r = RamifyX(i, Fraction(math.lcm(*dens)))
-                parent = parent.add_child(r)
-                fp = r.pullback(fp)
+                parent, fp = _ramify_x(parent, t.i, _x_denominator_lcm(fp, t.i), fp)
                 fc = t.pullback(fp)
                 d += 1
             child = parent.add_child(t)
@@ -583,28 +566,23 @@ def _embed_transform(t: ElementaryTransform, sub_sig: Signature) -> ElementaryTr
     last y-variable.  Indices agree because that variable stays last; only
     translations need their target index pinned and their center re-embedded."""
     if isinstance(t, Tschirnhausen):
-        from .series import insert_y
-
         j = t._index(sub_sig)
         return Tschirnhausen(insert_y(t.h, t.h.sig.n + 1), j)
     return t
 
 
-def _chain_product(family: Sequence[Series]) -> Series:
-    """Product of the family members and their pairwise differences (zero
-    differences skipped); monomialising it monomialises every member and
-    orders their monomials by division."""
-    parts = [s for s in family if not s.is_zero()]
-    if not parts:
-        raise EngineError("empty joint family")
-    prod = parts[0]
-    for s in parts[1:]:
+def _pairwise_differences(parts: Sequence[Series]) -> list[Series]:
+    """The nonzero differences ``parts[a] - parts[b]`` for a < b, in order.
+    Monomialising the product of the parts and these differences monomialises
+    every part and orders their monomials by division."""
+    diffs = (a - b for k, a in enumerate(parts) for b in parts[k + 1 :])
+    return [diff for diff in diffs if not diff.is_zero()]
+
+
+def _product(factors: Sequence[Series]) -> Series:
+    prod = factors[0]
+    for s in factors[1:]:
         prod = prod * s
-    for a in range(len(parts)):
-        for b in range(a + 1, len(parts)):
-            diff = parts[a] - parts[b]
-            if not diff.is_zero():
-                prod = prod * diff
     return prod
 
 
@@ -705,13 +683,8 @@ def division_chain(
     live = [s for s in inputs if not s.is_zero()]
     if not live:
         raise EngineError("all inputs vanish to the given precision")
-    targets = list(live)
-    for a in range(len(live)):
-        for b in range(a + 1, len(live)):
-            diff = live[a] - live[b]
-            if not diff.is_zero():
-                targets.append(diff)
-    prod = _chain_product(live)
+    targets = live + _pairwise_differences(live)
+    prod = _product(targets)
     engine = _Engine(options)
     tree = engine.run(prod)
     # The product being normal modulo the truncation does not force each
@@ -725,12 +698,9 @@ def division_chain(
         if all(nf is not None or p.is_zero() for p, nf in zip(pulled, forms)):
             resolved.append((chain, forms[: len(live)]))
             continue
-        live_p = [p for p in pulled if not p.is_zero()]
         # re-multiplying the pulled factors recovers the precision that a
         # single pullback of the pre-multiplied product loses
-        p_leaf = live_p[0]
-        for q in live_p[1:]:
-            p_leaf = p_leaf * q
+        p_leaf = _product([p for p in pulled if not p.is_zero()])
         leaf.payload = {}
         engine.process(leaf, p_leaf, len(chain))
         if leaf.is_leaf():
@@ -745,27 +715,15 @@ def division_chain(
     for chain, live_forms in resolved:
         it = iter(live_forms)
         forms = [None if s.is_zero() else next(it) for s in inputs]
-        exps = [nf.monomial for nf in forms if nf is not None]
-        for a in range(len(exps)):
-            for b in range(a + 1, len(exps)):
-                if not _leq(exps[a], exps[b]) and not _leq(exps[b], exps[a]):
-                    raise EngineError("leaf monomials are not ordered by division")
-        factors = [
-            {"kind": "zero"}
-            if nf is None
-            else {
-                "kind": "normal",
-                "monomial": _monomial_json(nf.monomial),
-                "unit": render(nf.unit),
-                "precision": str(nf.unit.precision),
-            }
-            for nf in forms
-        ]
+        if _first_incomparable_pair([nf.monomial for nf in forms if nf is not None]):
+            raise EngineError("leaf monomials are not ordered by division")
         leaves.append(
             {
                 "chain": chain_to_json(chain),
                 "sig": list(tree.leaf_sig(chain)),
-                "factors": factors,
+                "factors": [
+                    {"kind": "zero"} if nf is None else nf.to_json() for nf in forms
+                ],
             }
         )
         normal_forms.append(forms)
