@@ -13,6 +13,7 @@ identity; all other parameters are exact rationals.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,8 +104,6 @@ class ElementaryTransform:
 
 
 def json_compact(obj) -> str:
-    import json
-
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -124,8 +123,8 @@ class BlowUpXX(ElementaryTransform):
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _lam(self.lam))
-        if isinstance(self.lam, Fraction) and self.lam < 0:
-            raise TransformError("x-x chart parameter must be >= 0")
+        if self.lam is NEG_INF or isinstance(self.lam, Fraction) and self.lam < 0:
+            raise TransformError("x-x chart parameter must be >= 0 or inf")
 
     def validate(self, sig: Signature) -> None:
         if not (1 <= self.i <= sig.m and 1 <= self.j <= sig.m):

@@ -254,3 +254,12 @@ def test_validate_rejects_bad_indices():
         pullback(BlowUpYX(2, 1, 0), ps("y1", 1, 1))
     with pytest.raises(TransformError):
         pullback(RamifyX(2, Fraction(2)), ps("x1", 1, 0))
+
+
+def test_blowup_xx_rejects_negative_infinity():
+    # "inf" is the swapped x-x chart; "-inf" names no chart of the family
+    with pytest.raises(TransformError):
+        BlowUpXX(2, 1, NEG_INF)
+    with pytest.raises(TransformError):
+        transform_from_json({"kind": "blowup_xx", "i": 2, "j": 1, "lam": "-inf"})
+    assert BlowUpXX(2, 1, INF).pullback(ps("x1 + x2", 2, 0)).sig == Signature(2, 0)
