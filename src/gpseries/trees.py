@@ -145,30 +145,39 @@ def palette_from_spec(text: str) -> LambdaPalette:
 
 
 def tree_to_json(tree: AdmissibleTree) -> dict:
-    def node_json(node: TreeNode) -> dict:
+    """JSON form of ``tree``, built in pre-order by an explicit-stack walk;
+    each node's keys come in the order transform, payload, children."""
+    out: list = []
+    stack = [(tree.root, out)]
+    while stack:
+        node, siblings = stack.pop()
         d: dict = {}
         if node.transform is not None:
             d["transform"] = node.transform.to_json()
         if node.payload:
             d["payload"] = node.payload
         if node.children:
-            d["children"] = [node_json(c) for c in node.children]
-        return d
-
-    return {"sig": list(tree.sig), "root": node_json(tree.root)}
+            d["children"] = []
+            stack.extend((c, d["children"]) for c in reversed(node.children))
+        siblings.append(d)
+    return {"sig": list(tree.sig), "root": out[0]}
 
 
 def tree_from_json(data: dict, precision: Rational = None) -> AdmissibleTree:
-    def node_from(d: dict) -> TreeNode:
+    """Inverse of ``tree_to_json``, rebuilt in pre-order by an explicit-stack
+    walk, so a malformed tree fails at its first bad node."""
+    out: list = []
+    stack = [(data["root"], out)]
+    while stack:
+        d, siblings = stack.pop()
         t = None
         if "transform" in d:
             t = transform_from_json(d["transform"], precision)
         node = TreeNode(transform=t, payload=dict(d.get("payload", {})))
-        node.children = [node_from(c) for c in d.get("children", [])]
-        return node
-
+        siblings.append(node)
+        stack.extend((c, node.children) for c in reversed(d.get("children", [])))
     m, n = data["sig"]
-    return AdmissibleTree(Signature(m, n), node_from(data["root"]))
+    return AdmissibleTree(Signature(m, n), out[0])
 
 
 # -- sample points -----------------------------------------------------------

@@ -94,6 +94,32 @@ def test_height_of_a_deep_chain_at_the_default_recursion_limit():
         sys.setrecursionlimit(limit)
 
 
+def test_tree_json_roundtrip_of_a_deep_chain_at_the_default_recursion_limit():
+    # tree_to_json and tree_from_json walk without recursing
+    root = TreeNode()
+    node = root
+    for _ in range(1000):
+        node = node.add_child(Linear(1, ()))
+    node.payload["kind"] = "zero"
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        data = tree_to_json(AdmissibleTree(SIG11, root))
+        back = tree_from_json(data)
+    finally:
+        sys.setrecursionlimit(limit)
+    # compared level by level: == on 1000-deep nested dicts would recurse
+    keys = []
+    d = data["root"]
+    while "children" in d:
+        (d,) = d["children"]
+        keys.append(list(d))
+    assert keys == [["transform", "children"]] * 999 + [["transform", "payload"]]
+    ((chain, leaf),) = back.branches()
+    assert chain == [Linear(1, ())] * 1000
+    assert leaf.payload == {"kind": "zero"}
+
+
 def test_tree_json_roundtrip_on_real_tree():
     report = monomialize(ps("y1^2 - x1^2", 1, 1))
     data = tree_to_json(report.tree)
