@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .series import Rational, Series, Signature, constant, x_var, y_var
+from .series import Rational, Series, Signature, constant, monomial, x_var, y_var
 
 
 class ParseError(ValueError):
@@ -97,6 +97,13 @@ class _Parser:
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
+    def end_statement(self) -> None:
+        """Accept one optional ';', then require the end of the input."""
+        if not self.at_end() and self.peek().text == ";":
+            self.next()
+        if not self.at_end():
+            raise ParseError(f"trailing input {self.peek().text!r}", self.peek().pos)
+
     # -- grammar ----------------------------------------------------------
 
     def expr(self) -> Series:
@@ -137,10 +144,8 @@ class _Parser:
                 i = next(k for k, e in enumerate(xs) if e != 0)
                 nxs = list(xs)
                 nxs[i] = exp
-                from .series import monomial
-
                 return monomial(self.sig, nxs, ys, self.precision)
-        if any(e != 0 for ((_, ys), _) in ((k, v) for k, v in base.terms.items()) for e in ys):
+        if any(any(ys) for (_, ys) in base.terms):
             raise ParseError("fractional y-power", pos)
         raise ParseError(
             "fractional exponents are only allowed on single x-variables", pos
@@ -238,12 +243,7 @@ def parse_series(text: str, sig: Signature, precision: Rational) -> Series:
     """Parse a single series expression (trailing ';' optional)."""
     p = _Parser(text, sig, precision)
     value = p.expr()
-    if not p.at_end():
-        tok = p.peek()
-        if tok.text == ";":
-            p.next()
-        if not p.at_end():
-            raise ParseError(f"trailing input {p.peek().text!r}", p.peek().pos)
+    p.end_statement()
     return value
 
 
@@ -259,12 +259,7 @@ def parse_basic_set(text: str, sig: Signature, precision: Rational) -> BasicSetE
     """Parse a basic-set description (trailing ';' optional)."""
     p = _Parser(text, sig, precision)
     pieces = p.setexpr()
-    if not p.at_end():
-        tok = p.peek()
-        if tok.text == ";":
-            p.next()
-        if not p.at_end():
-            raise ParseError(f"trailing input {p.peek().text!r}", p.peek().pos)
+    p.end_statement()
     return BasicSetExpr(sig, pieces)
 
 

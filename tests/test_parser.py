@@ -76,6 +76,16 @@ def test_trailing_semicolon_ok():
     assert ps("x1;", 1, 1) == ps("x1", 1, 1)
 
 
+def test_statement_end_is_one_optional_semicolon():
+    for text in ("x1;;", "x1; x1"):
+        with pytest.raises(ParseError, match="trailing input"):
+            ps(text, 1, 1)
+    assert parse_basic_set("x1 > 0;", SIG11, 8) == parse_basic_set("x1 > 0", SIG11, 8)
+    with pytest.raises(ParseError, match="trailing input ';'") as exc:
+        parse_basic_set("x1 > 0;;", SIG11, 8)
+    assert exc.value.pos == 7
+
+
 def test_error_carries_position():
     with pytest.raises(ParseError) as exc:
         ps("1 + @", 1, 1)
