@@ -45,15 +45,19 @@ class ConfigError(ValueError):
     pass
 
 
-_CONFIG_KEYS = {
-    "precision",
-    "lambda",
-    "max-depth",
-    "princ-cap",
-    "samples",
-    "seed",
-    "threads",
-}
+# One row per option that a config file or a flag may set: config key,
+# default text, argparse attribute, and the parser of the merged text.  The
+# palette has no parser here: it is read once the numeric options are checked.
+_OPTIONS = (
+    ("precision", "8", "precision", Fraction),
+    ("lambda", None, "lam", None),
+    ("max-depth", "64", "max_depth", int),
+    ("princ-cap", "200", "princ_cap", int),
+    ("samples", "100", "samples", int),
+    ("seed", "0", "seed", int),
+    ("threads", "1", "threads", int),
+)
+_CONFIG_KEYS = {key for key, _, _, _ in _OPTIONS}
 
 
 def read_config(path: str) -> dict:
@@ -110,36 +114,17 @@ def build_argparser() -> argparse.ArgumentParser:
 
 
 def _merge_options(args) -> dict:
-    merged = {
-        "precision": "8",
-        "lambda": None,
-        "max-depth": "64",
-        "princ-cap": "200",
-        "samples": "100",
-        "seed": "0",
-        "threads": "1",
-    }
+    merged = {key: default for key, default, _, _ in _OPTIONS}
     if args.config:
         merged.update(read_config(args.config))
-    for key, attr in (
-        ("precision", "precision"),
-        ("lambda", "lam"),
-        ("max-depth", "max_depth"),
-        ("princ-cap", "princ_cap"),
-        ("samples", "samples"),
-        ("seed", "seed"),
-        ("threads", "threads"),
-    ):
+    for key, _, attr, _ in _OPTIONS:
         v = getattr(args, attr, None)
         if v is not None:
             merged[key] = str(v)
     try:
-        merged["precision"] = Fraction(merged["precision"])
-        merged["max-depth"] = int(merged["max-depth"])
-        merged["princ-cap"] = int(merged["princ-cap"])
-        merged["samples"] = int(merged["samples"])
-        merged["seed"] = int(merged["seed"])
-        merged["threads"] = int(merged["threads"])
+        for key, _, _, parse in _OPTIONS:
+            if parse is not None:
+                merged[key] = parse(merged[key])
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad option value: {exc}") from exc
     if merged["precision"] <= 0:
@@ -149,7 +134,7 @@ def _merge_options(args) -> dict:
     if merged["lambda"] is not None:
         try:
             merged["lambda"] = palette_from_spec(merged["lambda"])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(str(exc)) from exc
     return merged
 

@@ -188,3 +188,21 @@ def test_json_output_bytes_are_pinned(tmp_path, capsys, name):
     assert main([command[0], path, "--json", *command[1:]]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_config_and_flags_share_one_option_table(tmp_path, capsys):
+    # every config key has a default and a flag; the flag wins over the file
+    cfg = write(tmp_path, "cfg.txt", "max-depth = 0\nprinc-cap = 7\nlambda = 1\n")
+    inp = write(tmp_path, "in.txt", "vars x:1 y:1\ny1^2 - x1^3;\n")
+    assert main(["monomialize", inp, "--config", cfg]) == 3
+    assert main(["monomialize", inp, "--config", cfg, "--max-depth", "64"]) == 0
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--lambda", "1/0"], ["--lambda", "-1"], ["--precision", "1/0"], ["--precision", "-1"]],
+)
+def test_bad_option_values_exit_one(tmp_path, capsys, flags):
+    inp = write(tmp_path, "in.txt", "vars x:1 y:1\nx1;\n")
+    assert main(["monomialize", inp, *flags]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
