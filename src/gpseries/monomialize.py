@@ -233,7 +233,7 @@ def _child(node: TreeNode, f: Series, t: ElementaryTransform, depth: int):
     return node.add_child(t), t.pullback(f), depth + 1
 
 
-def _ramify_x(node: TreeNode, i: int, gamma: Fraction, *series: Series):
+def _ramify_x(node: TreeNode, i: int, gamma: int | Fraction, *series: Series):
     """``(node, *series)`` with x_i <- x_i^gamma added below ``node`` and each
     series pulled back through it; unchanged when gamma is 1."""
     if gamma == 1:
