@@ -1,6 +1,7 @@
 """Elementary coordinate transforms: pullback oracles, point maps, JSON."""
 
 from fractions import Fraction
+import json
 import random
 
 import pytest
@@ -240,6 +241,35 @@ def test_transform_json_roundtrip():
         t2 = transform_from_json(d)
         assert type(t2) is type(t)
         assert t2.to_json() == d
+
+
+# recorded before the transforms shared one JSON codec; the engine never
+# emits RamifyY, SignChart or a Linear with two coefficients
+PINNED_DESCRIBE = [
+    '{"i":2,"j":1,"kind":"blowup_xx","lam":"0"}',
+    '{"i":2,"j":1,"kind":"blowup_xx","lam":"1/2"}',
+    '{"i":2,"j":1,"kind":"blowup_xx","lam":"inf"}',
+    '{"i":1,"j":1,"kind":"blowup_yx","lam":"1/2"}',
+    '{"i":1,"j":1,"kind":"blowup_yx","lam":"0"}',
+    '{"i":1,"j":1,"kind":"blowup_yx","lam":"inf"}',
+    '{"i":1,"j":1,"kind":"blowup_yx","lam":"-inf"}',
+    '{"i":1,"j":2,"kind":"blowup_yy","lam":"2"}',
+    '{"i":1,"j":2,"kind":"blowup_yy","lam":"inf"}',
+    '{"h":"x1 + x1^2","h_prec":"8","h_sig":[1,0],"j":0,"kind":"tschirnhausen"}',
+    '{"c":["-1"],"i":2,"kind":"linear"}',
+    '{"gamma":"1/2","i":1,"kind":"ramify_x"}',
+    '{"gamma":"3","i":1,"kind":"ramify_x"}',
+    '{"d":2,"i":1,"kind":"ramify_y","sign":-1}',
+    '{"i":1,"kind":"sign_chart","sign":-1}',
+    '{"c":["1/2","0"],"i":3,"kind":"linear"}',
+]
+
+
+def test_transform_json_is_pinned():
+    ts = [t for t, _ in _variants()] + [Linear(3, (Fraction(1, 2), Fraction(0)))]
+    assert [t.describe() for t in ts] == PINNED_DESCRIBE
+    for t, text in zip(ts, PINNED_DESCRIBE):
+        assert transform_from_json(json.loads(text)) == t
 
 
 def test_chain_json_roundtrip():
