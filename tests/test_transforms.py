@@ -196,6 +196,28 @@ def test_pullback_matches_composition_numerically():
             )
 
 
+@pytest.mark.parametrize(
+    "t, sig",
+    [(BlowUpXX(2, 1, INF), SIG21), (BlowUpYY(1, 2, INF), Signature(1, 2))],
+    ids=["xx", "yy"],
+)
+def test_infinity_chart_is_the_swapped_zero_chart(t, sig):
+    swapped = type(t)(t.j, t.i, 0)
+    rng = random.Random(11)
+    for _ in range(10):
+        f = random_series(rng, sig, nterms=4)
+        assert t.pullback(f) == swapped.pullback(f)
+    dim = sig.m + sig.n
+    points = [_sample(rng, sig) for _ in range(5)]
+    points += [[Fraction(rng.randint(-9, 9), 7) for _ in range(dim)] for _ in range(5)]
+    points += [[Fraction(0)] * dim, [0.0] * dim]
+    for p in points:
+        assert t.forward_point_sig(p, sig) == swapped.forward_point_sig(p, sig)
+        assert t.inverse_point(p, sig) == swapped.inverse_point(p, sig)
+    kind = swapped.to_json()["kind"]
+    assert t.to_json() == {"kind": kind, "i": t.i, "j": t.j, "lam": "inf"}
+
+
 def test_forward_inverse_roundtrip():
     rng = random.Random(7)
     chain = [BlowUpYX(1, 1, Fraction(1, 2)), Tschirnhausen(ps("x1^2", 1, 0))]
