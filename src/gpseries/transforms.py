@@ -8,16 +8,23 @@ precision.
 
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
-identity; all other parameters are exact rationals.
+identity; all other parameters are exact rationals.  In the x-x and y-y
+blow-ups lam = inf is the lam = 0 chart with i and j swapped; the y-x charts
+at lam = +-inf add an x-variable.
+
+JSON: ``{"kind": KIND}`` plus every dataclass field, Fractions as strings,
+tuples as lists of strings, ints and infinities as they are; it is read back
+by passing the fields to the class.  ``Tschirnhausen`` has its own format,
+because its centre is a series.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import ClassVar, Optional, Sequence, Union
 
 from .series import (
     Rational,
@@ -49,19 +56,6 @@ class NeedsRamification(TransformError):
     """A lambda-chart met a fractional exponent; the caller must ramify first."""
 
 
-def _lam(value) -> Lambda:
-    if isinstance(value, str):
-        if value == INF:
-            return INF
-        if value == NEG_INF:
-            return NEG_INF
-    return Fraction(value)
-
-
-def _lam_json(value: Lambda):
-    return value if isinstance(value, str) else str(value)
-
-
 Point = list  # numeric point, entries Fraction or float
 
 
@@ -72,10 +66,15 @@ def _expand_shifted_power(lam: Fraction, b: int):
 
 @dataclass(frozen=True)
 class ElementaryTransform:
-    """Base class; concrete variants implement the four hooks below."""
+    """Base class.  Concrete variants implement ``validate``, ``pullback``,
+    ``forward_point_sig`` and ``inverse_point`` and set ``KIND``; by default
+    ``result_sig`` keeps the signature, ``precision_factor`` is 1 and
+    ``to_json`` writes ``KIND`` and the fields."""
+
+    KIND: ClassVar[str]
 
     def result_sig(self, sig: Signature) -> Signature:
-        raise NotImplementedError
+        return sig
 
     def validate(self, sig: Signature) -> None:
         raise NotImplementedError
@@ -97,32 +96,55 @@ class ElementaryTransform:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        d = {"kind": self.KIND}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, Fraction):
+                v = str(v)
+            elif isinstance(v, tuple):
+                v = [str(c) for c in v]
+            d[f.name] = v
+        return d
 
     def describe(self) -> str:
-        return json_compact(self.to_json())
-
-
-def json_compact(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
-class BlowUpXX(ElementaryTransform):
-    """Chart of the x-x blow-up family pi_{i,j}.
-
-    lam = 0: x_i <- x_j * x_i (signature preserved); lam = inf is the same
-    chart with i and j swapped; lam in (0, inf): x_i <- x_j*(lam + y_1'),
-    removing x_i and inserting a new first y-variable (requires j < i and
-    natural i-exponents).
-    """
+class _BlowUp(ElementaryTransform):
+    """Fields of the three blow-up families; lam is a Fraction, INF or NEG_INF."""
 
     i: int
     j: int
     lam: Lambda
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _lam(self.lam))
+        if self.lam == INF:
+            object.__setattr__(self, "lam", INF)
+        elif self.lam == NEG_INF:
+            object.__setattr__(self, "lam", NEG_INF)
+        else:
+            object.__setattr__(self, "lam", Fraction(self.lam))
+
+    def _chart(self) -> tuple[int, int, Fraction]:
+        """``(i, j, lam)`` of an x-x or y-y chart, or ``(j, i, 0)`` for lam = inf."""
+        if self.lam is INF:
+            return self.j, self.i, Fraction(0)
+        return self.i, self.j, self.lam
+
+
+@dataclass(frozen=True)
+class BlowUpXX(_BlowUp):
+    """Chart of the x-x blow-up family pi_{i,j}.
+
+    lam = 0: x_i <- x_j * x_i (signature preserved); lam in (0, inf):
+    x_i <- x_j*(lam + y_1'), removing x_i and inserting a new first
+    y-variable (requires j < i and natural i-exponents).
+    """
+
+    KIND = "blowup_xx"
+    def __post_init__(self):
+        super().__post_init__()
         if self.lam is NEG_INF or isinstance(self.lam, Fraction) and self.lam < 0:
             raise TransformError("x-x chart parameter must be >= 0 or inf")
 
@@ -141,13 +163,12 @@ class BlowUpXX(ElementaryTransform):
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        if self.lam is INF:
-            return BlowUpXX(self.j, self.i, 0).pullback(f)
-        if self.lam == 0:
+        i, j, lam = self._chart()
+        if lam == 0:
             terms = {}
             for (xs, ys), c in f.terms.items():
                 nxs = list(xs)
-                nxs[self.j - 1] += xs[self.i - 1]
+                nxs[j - 1] += xs[i - 1]
                 key = (tuple(nxs), ys)
                 terms[key] = terms.get(key, Fraction(0)) + c
             return _pruned(f.sig, terms, f.precision)
@@ -155,57 +176,50 @@ class BlowUpXX(ElementaryTransform):
         sig2 = self.result_sig(f.sig)
         terms = {}
         for (xs, ys), c in f.terms.items():
-            a = xs[self.i - 1]
+            a = xs[i - 1]
             if a.denominator != 1:
                 raise NeedsRamification(
-                    f"x{self.i}-exponent {a} is fractional; ramify before the lambda chart"
+                    f"x{i}-exponent {a} is fractional; ramify before the lambda chart"
                 )
             a = int(a)
-            base = list(xs[: self.i - 1] + xs[self.i :])
-            base[self.j - 1] += a
-            for k, coeff in enumerate(_expand_shifted_power(self.lam, a)):
+            base = list(xs[: i - 1] + xs[i:])
+            base[j - 1] += a
+            for k, coeff in enumerate(_expand_shifted_power(lam, a)):
                 key = (tuple(base), (k,) + ys)
                 terms[key] = terms.get(key, Fraction(0)) + c * coeff
         return _pruned(sig2, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        if self.lam is INF:
-            return BlowUpXX(self.j, self.i, 0).forward_point_sig(p, sig)
-        if self.lam == 0:
+        i, j, lam = self._chart()
+        if lam == 0:
             q = list(p)
-            q[self.i - 1] = p[self.i - 1] * p[self.j - 1]
+            q[i - 1] = p[i - 1] * p[j - 1]
             return q
         m, n = sig
         xs = list(p[: m - 1])
         y1 = p[m - 1]
         ys = list(p[m:])
-        xi = xs[self.j - 1] * (self.lam + y1)
-        nxs = xs[: self.i - 1] + [xi] + xs[self.i - 1 :]
+        xi = xs[j - 1] * (lam + y1)
+        nxs = xs[: i - 1] + [xi] + xs[i - 1 :]
         return nxs + ys
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        if self.lam is INF:
-            return BlowUpXX(self.j, self.i, 0).inverse_point(p, sig)
-        if self.lam == 0:
-            if p[self.j - 1] == 0:
-                return None
+        i, j, lam = self._chart()
+        if p[j - 1] == 0:
+            return None
+        if lam == 0:
             q = list(p)
-            q[self.i - 1] = p[self.i - 1] / p[self.j - 1]
+            q[i - 1] = p[i - 1] / p[j - 1]
             return q
         m = sig.m
-        if p[self.j - 1] == 0:
-            return None
-        y1 = p[self.i - 1] / p[self.j - 1] - self.lam
+        y1 = p[i - 1] / p[j - 1] - lam
         xs = list(p[:m])
-        del xs[self.i - 1]
+        del xs[i - 1]
         return xs + [y1] + list(p[m:])
-
-    def to_json(self) -> dict:
-        return {"kind": "blowup_xx", "i": self.i, "j": self.j, "lam": _lam_json(self.lam)}
 
 
 @dataclass(frozen=True)
-class BlowUpYX(ElementaryTransform):
+class BlowUpYX(_BlowUp):
     """Chart of the y-x blow-up family pi_{m+i,j}.
 
     Finite lam: y_i <- x_j*(lam + y_i) (signature preserved);
@@ -213,13 +227,7 @@ class BlowUpYX(ElementaryTransform):
     appended, dropping y_i.
     """
 
-    i: int
-    j: int
-    lam: Lambda
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _lam(self.lam))
-
+    KIND = "blowup_yx"
     def validate(self, sig: Signature) -> None:
         if not (1 <= self.i <= sig.n and 1 <= self.j <= sig.m):
             raise TransformError(f"indices ({self.i},{self.j}) out of range for {sig}")
@@ -231,7 +239,6 @@ class BlowUpYX(ElementaryTransform):
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        m, n = f.sig
         if isinstance(self.lam, str):
             sign = 1 if self.lam is INF else -1
             sig2 = self.result_sig(f.sig)
@@ -258,13 +265,11 @@ class BlowUpYX(ElementaryTransform):
         m, n = sig
         if isinstance(self.lam, str):
             sign = 1 if self.lam is INF else -1
-            xs = list(p[: m + 1])
-            ys = list(p[m + 1 :])
-            xnew = xs[m]
-            xj = xnew * xs[self.j - 1]
-            nxs = xs[:m]
-            nxs[self.j - 1] = xj
-            nys = ys[: self.i - 1] + [sign * xnew] + ys[self.i - 1 :]
+            xnew = p[m]
+            nxs = list(p[:m])
+            nxs[self.j - 1] = xnew * p[self.j - 1]
+            nys = list(p[m + 1 :])
+            nys.insert(self.i - 1, sign * xnew)
             return nxs + nys
         q = list(p)
         q[m + self.i - 1] = p[self.j - 1] * (self.lam + p[m + self.i - 1])
@@ -276,9 +281,7 @@ class BlowUpYX(ElementaryTransform):
             sign = 1 if self.lam is INF else -1
             yi = p[m + self.i - 1]
             xnew = sign * yi
-            if xnew < 0:
-                return None
-            if xnew == 0:
+            if xnew <= 0:
                 return None
             xj = p[self.j - 1] / xnew
             if xj < 0:
@@ -294,21 +297,14 @@ class BlowUpYX(ElementaryTransform):
         q[m + self.i - 1] = p[m + self.i - 1] / p[self.j - 1] - self.lam
         return q
 
-    def to_json(self) -> dict:
-        return {"kind": "blowup_yx", "i": self.i, "j": self.j, "lam": _lam_json(self.lam)}
-
 
 @dataclass(frozen=True)
-class BlowUpYY(ElementaryTransform):
-    """Chart of the y-y blow-up family pi_{m+i,m+j}: y_i <- y_j*(lam + y_i);
-    lam = inf is the lam = 0 chart with i and j swapped."""
+class BlowUpYY(_BlowUp):
+    """Chart of the y-y blow-up family pi_{m+i,m+j}: y_i <- y_j*(lam + y_i)."""
 
-    i: int
-    j: int
-    lam: Lambda
-
+    KIND = "blowup_yy"
     def __post_init__(self):
-        object.__setattr__(self, "lam", _lam(self.lam))
+        super().__post_init__()
         if self.lam is NEG_INF:
             raise TransformError("y-y charts use lam in Q or inf")
 
@@ -318,45 +314,36 @@ class BlowUpYY(ElementaryTransform):
         if self.i == self.j:
             raise TransformError("y-y chart requires i != j")
 
-    def result_sig(self, sig: Signature) -> Signature:
-        return sig
-
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        if self.lam is INF:
-            return BlowUpYY(self.j, self.i, 0).pullback(f)
+        i, j, lam = self._chart()
         terms = {}
         for (xs, ys), c in f.terms.items():
-            b = ys[self.i - 1]
+            b = ys[i - 1]
             base = list(ys)
-            base[self.j - 1] += b
-            for k, coeff in enumerate(_expand_shifted_power(self.lam, b)):
+            base[j - 1] += b
+            for k, coeff in enumerate(_expand_shifted_power(lam, b)):
                 nys = list(base)
-                nys[self.i - 1] = k
+                nys[i - 1] = k
                 key = (xs, tuple(nys))
                 terms[key] = terms.get(key, Fraction(0)) + c * coeff
         return _pruned(f.sig, terms, f.precision)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        if self.lam is INF:
-            return BlowUpYY(self.j, self.i, 0).forward_point_sig(p, sig)
+        i, j, lam = self._chart()
         m = sig.m
         q = list(p)
-        q[m + self.i - 1] = p[m + self.j - 1] * (self.lam + p[m + self.i - 1])
+        q[m + i - 1] = p[m + j - 1] * (lam + p[m + i - 1])
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        if self.lam is INF:
-            return BlowUpYY(self.j, self.i, 0).inverse_point(p, sig)
+        i, j, lam = self._chart()
         m = sig.m
-        if p[m + self.j - 1] == 0:
+        if p[m + j - 1] == 0:
             return None
         q = list(p)
-        q[m + self.i - 1] = p[m + self.i - 1] / p[m + self.j - 1] - self.lam
+        q[m + i - 1] = p[m + i - 1] / p[m + j - 1] - lam
         return q
-
-    def to_json(self) -> dict:
-        return {"kind": "blowup_yy", "i": self.i, "j": self.j, "lam": _lam_json(self.lam)}
 
 
 @dataclass(frozen=True)
@@ -366,6 +353,7 @@ class Tschirnhausen(ElementaryTransform):
     ``h`` is a series over (m, n-1); its y-variables are the ambient
     y-variables other than y_j, in order.  ``j = 0`` means the last one."""
 
+    KIND = "tschirnhausen"
     h: Series  # over (m, n-1)
     j: int = 0
 
@@ -385,9 +373,6 @@ class Tschirnhausen(ElementaryTransform):
             raise SignatureMismatch(
                 f"center over {self.h.sig}, expected {Signature(sig.m, sig.n - 1)}"
             )
-
-    def result_sig(self, sig: Signature) -> Signature:
-        return sig
 
     def precision_factor(self) -> Fraction:
         o = self.h.order()
@@ -423,7 +408,7 @@ class Tschirnhausen(ElementaryTransform):
 
     def to_json(self) -> dict:
         return {
-            "kind": "tschirnhausen",
+            "kind": self.KIND,
             "h": render(self.h),
             "h_sig": list(self.h.sig),
             "h_prec": str(self.h.precision),
@@ -431,13 +416,14 @@ class Tschirnhausen(ElementaryTransform):
         }
 
     def __hash__(self):
-        return hash(("tschirnhausen", self.h, self.j))
+        return hash((self.KIND, self.h, self.j))
 
 
 @dataclass(frozen=True)
 class Linear(ElementaryTransform):
     """y_k <- y_k + c_k * y_i for k < i."""
 
+    KIND = "linear"
     i: int
     c: tuple
 
@@ -449,9 +435,6 @@ class Linear(ElementaryTransform):
             raise TransformError(f"index {self.i} out of range for {sig}")
         if len(self.c) != self.i - 1:
             raise TransformError(f"coefficient tuple must have length {self.i - 1}")
-
-    def result_sig(self, sig: Signature) -> Signature:
-        return sig
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
@@ -480,14 +463,12 @@ class Linear(ElementaryTransform):
             q[m + k - 1] = p[m + k - 1] - ck * p[m + self.i - 1]
         return q
 
-    def to_json(self) -> dict:
-        return {"kind": "linear", "i": self.i, "c": [str(v) for v in self.c]}
-
 
 @dataclass(frozen=True)
 class RamifyX(ElementaryTransform):
     """x_i <- x_i^gamma (gamma > 0 rational); exponents scale by gamma."""
 
+    KIND = "ramify_x"
     i: int
     gamma: Fraction
 
@@ -499,9 +480,6 @@ class RamifyX(ElementaryTransform):
     def validate(self, sig: Signature) -> None:
         if not 1 <= self.i <= sig.m:
             raise TransformError(f"index {self.i} out of range for {sig}")
-
-    def result_sig(self, sig: Signature) -> Signature:
-        return sig
 
     def precision_factor(self) -> Fraction:
         return min(Fraction(1), self.gamma)
@@ -528,9 +506,6 @@ class RamifyX(ElementaryTransform):
         q[self.i - 1] = _power_numeric(p[self.i - 1], Fraction(1) / self.gamma)
         return q
 
-    def to_json(self) -> dict:
-        return {"kind": "ramify_x", "i": self.i, "gamma": str(self.gamma)}
-
 
 def _power_numeric(v, e: Fraction):
     if v == 0:
@@ -546,6 +521,7 @@ def _power_numeric(v, e: Fraction):
 class RamifyY(ElementaryTransform):
     """y_i <- sign * y_i^d with d >= 1 a natural number."""
 
+    KIND = "ramify_y"
     i: int
     d: int
     sign: int = 1
@@ -559,9 +535,6 @@ class RamifyY(ElementaryTransform):
     def validate(self, sig: Signature) -> None:
         if not 1 <= self.i <= sig.n:
             raise TransformError(f"index {self.i} out of range for {sig}")
-
-    def result_sig(self, sig: Signature) -> Signature:
-        return sig
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
@@ -591,15 +564,13 @@ class RamifyY(ElementaryTransform):
         q[m + self.i - 1] = root
         return q
 
-    def to_json(self) -> dict:
-        return {"kind": "ramify_y", "i": self.i, "d": self.d, "sign": self.sign}
-
 
 @dataclass(frozen=True)
 class SignChart(ElementaryTransform):
     """y_i <- sign * x_new, turning y_i into a nonnegative x-variable
     (the new variable is appended after x_m)."""
 
+    KIND = "sign_chart"
     i: int
     sign: int = 1
 
@@ -643,24 +614,16 @@ class SignChart(ElementaryTransform):
         del nys[self.i - 1]
         return list(p[:m]) + [v] + nys
 
-    def to_json(self) -> dict:
-        return {"kind": "sign_chart", "i": self.i, "sign": self.sign}
-
 
 _KINDS = {
-    "blowup_xx": lambda d: BlowUpXX(d["i"], d["j"], d["lam"]),
-    "blowup_yx": lambda d: BlowUpYX(d["i"], d["j"], d["lam"]),
-    "blowup_yy": lambda d: BlowUpYY(d["i"], d["j"], d["lam"]),
-    "linear": lambda d: Linear(d["i"], tuple(Fraction(v) for v in d["c"])),
-    "ramify_x": lambda d: RamifyX(d["i"], Fraction(d["gamma"])),
-    "ramify_y": lambda d: RamifyY(d["i"], d["d"], d["sign"]),
-    "sign_chart": lambda d: SignChart(d["i"], d["sign"]),
+    cls.KIND: cls
+    for cls in (BlowUpXX, BlowUpYX, BlowUpYY, Linear, RamifyX, RamifyY, SignChart)
 }
 
 
 def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransform:
     kind = d["kind"]
-    if kind == "tschirnhausen":
+    if kind == Tschirnhausen.KIND:
         from .parser import parse_series
 
         m, nm1 = d["h_sig"]
@@ -673,7 +636,8 @@ def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransf
         )
     if kind not in _KINDS:
         raise TransformError(f"unknown transform kind {kind!r}")
-    return _KINDS[kind](d)
+    cls = _KINDS[kind]
+    return cls(**{f.name: d[f.name] for f in fields(cls)})
 
 
 # -- chains -------------------------------------------------------------------
