@@ -10,7 +10,7 @@ The input file starts with a header line ``vars x:<m> y:<n>`` followed by
 ';'-terminated statements (series expressions, or sign conditions joined by
 '&' and '|' for ``parametrize``).  ``-`` reads from stdin.
 
-Exit codes: 0 success; 1 malformed input or configuration; 2 truncation
+Exit codes: 0 success; 1 malformed input, flag or configuration; 2 truncation
 precision exhausted before the tree could be certified; 3 depth or
 principalization cap exceeded.
 """
@@ -80,8 +80,16 @@ def read_config(path: str) -> dict:
     return values
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error as ``ConfigError``: a bad flag exits 1 like a bad
+    config value, not with argparse's 2, which here means precision exhausted."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_argparser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="gpseries", description=__doc__.split("\n")[0])
+    ap = _ArgumentParser(prog="gpseries", description=__doc__.split("\n")[0])
     sub = ap.add_subparsers(dest="command", required=True)
     for name, helptext in (
         ("monomialize", "monomialise one series"),
@@ -97,16 +105,13 @@ def build_argparser() -> argparse.ArgumentParser:
             dest="lam",
             help="comma-separated positive chart parameters (default 1/2,1,2)",
         )
-        p.add_argument("--max-depth", type=int, help="tree depth cap (default 64)")
-        p.add_argument(
-            "--princ-cap", type=int, help="principalization step cap (default 200)"
-        )
-        p.add_argument("--samples", type=int, help="sample count (parametrize)")
-        p.add_argument("--seed", type=int, help="sampling seed (default 0)")
+        p.add_argument("--max-depth", help="tree depth cap (default 64)")
+        p.add_argument("--princ-cap", help="principalization step cap (default 200)")
+        p.add_argument("--samples", help="sample count (parametrize)")
+        p.add_argument("--seed", help="sampling seed (default 0)")
         p.add_argument("--json", action="store_true", help="emit JSON")
         p.add_argument(
             "--threads",
-            type=int,
             help="parallelism hint; accepted for compatibility, output "
             "is identical for any value",
         )
@@ -120,7 +125,7 @@ def _merge_options(args) -> dict:
     for key, _, attr, _ in _OPTIONS:
         v = getattr(args, attr, None)
         if v is not None:
-            merged[key] = str(v)
+            merged[key] = v
     try:
         for key, _, _, parse in _OPTIONS:
             if parse is not None:
@@ -131,6 +136,9 @@ def _merge_options(args) -> dict:
         raise ConfigError("precision must be positive")
     if merged["threads"] < 1:
         raise ConfigError("threads must be >= 1")
+    for key in ("max-depth", "princ-cap", "samples"):
+        if merged[key] < 0:
+            raise ConfigError(f"{key} must be >= 0")
     if merged["lambda"] is not None:
         try:
             merged["lambda"] = palette_from_spec(merged["lambda"])
@@ -226,7 +234,7 @@ def _cmd_parametrize(args, merged) -> int:
     rng = random.Random(merged["seed"])
     samples = []
     for k, piece in enumerate(param.pieces):
-        for _ in range(max(0, merged["samples"]) // max(1, len(param.pieces))):
+        for _ in range(merged["samples"] // max(1, len(param.pieces))):
             pt = sample_piece(piece, rng, 0.01, sig)
             samples.append({"piece": k, "point": [repr(float(v)) for v in pt]})
     payload = {
@@ -253,9 +261,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    ap = build_argparser()
-    args = ap.parse_args(argv)
     try:
+        args = build_argparser().parse_args(argv)
         merged = _merge_options(args)
         return _COMMANDS[args.command](args, merged)
     except (ConfigError, ParseError, OSError) as exc:

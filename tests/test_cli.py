@@ -106,6 +106,13 @@ def test_json_is_deterministic_across_threads(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["monomialize", "--help"])
+    assert exc.value.code == 0
+    assert "--max-depth" in capsys.readouterr().out
+
+
 def test_invalid_threads_exits_one(tmp_path):
     path = write(tmp_path, "in.txt", "vars x:1 y:1\nx1;\n")
     assert main(["monomialize", path, "--threads", "0"]) == 1
@@ -200,7 +207,19 @@ def test_config_and_flags_share_one_option_table(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--lambda", "1/0"], ["--lambda", "-1"], ["--precision", "1/0"], ["--precision", "-1"]],
+    [
+        ["--lambda", "1/0"],
+        ["--lambda", "-1"],
+        ["--precision", "1/0"],
+        ["--precision", "-1"],
+        ["--seed", "x"],
+        ["--max-depth", "x"],
+        ["--samples", "1.5"],
+        ["--bogus"],
+        ["--max-depth", "-1"],
+        ["--princ-cap", "-1"],
+        ["--samples", "-3"],
+    ],
 )
 def test_bad_option_values_exit_one(tmp_path, capsys, flags):
     inp = write(tmp_path, "in.txt", "vars x:1 y:1\nx1;\n")
