@@ -157,9 +157,6 @@ class Series:
         zero = (tuple([Fraction(0)] * self.sig.m), tuple([0] * self.sig.n))
         return self.terms.get(zero, Fraction(0))
 
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(_check_exponent(self.sig, exp), Fraction(0))
-
     def is_unit(self) -> bool:
         return self.constant_term() != 0
 
@@ -447,35 +444,6 @@ def _int_nth_root(v: int, k: int) -> Optional[int]:
     return r if r**k == v else None
 
 
-def binomial_series(
-    lam: Rational, alpha: Rational, precision: Rational
-) -> Series:
-    """Truncation of (Y + lam)^alpha as a one-y-variable series.
-
-    Requires lam > 0 and lam^alpha rational, so that all coefficients stay
-    in Q.  Callers arrange a prior ramification when alpha is fractional.
-    """
-    lam = Fraction(lam)
-    alpha = Fraction(alpha)
-    precision = Fraction(precision)
-    if lam <= 0:
-        raise SeriesError(f"lambda must be positive, got {lam}")
-    scale = _rational_power(lam, alpha)
-    if scale is None:
-        raise SeriesError(f"{lam}^{alpha} is irrational; ramify first")
-    sig = Signature(0, 1)
-    terms: dict[Exponent, Fraction] = {}
-    k = 0
-    while Fraction(k) < precision:
-        c = scale * binom(alpha, k) / (lam**k)
-        if c != 0:
-            terms[((), (k,))] = c
-        if alpha.denominator == 1 and 0 <= alpha < k:
-            break
-        k += 1
-    return Series(sig, terms, precision)
-
-
 def _rational_power(base: Fraction, alpha: Fraction) -> Optional[Fraction]:
     """base^alpha as an exact rational when possible, else None."""
     if alpha.denominator == 1:
@@ -685,17 +653,6 @@ def invert_unit(u: Series) -> Series:
 
 
 # -- variable embedding and substitution -------------------------------------
-
-
-def insert_x(a: Series, pos: int) -> Series:
-    """Add an unused x-variable at 1-based position ``pos``."""
-    if not 1 <= pos <= a.sig.m + 1:
-        raise SeriesError(f"x-position {pos} out of range for {a.sig}")
-    sig = Signature(a.sig.m + 1, a.sig.n)
-    terms = {}
-    for (xs, ys), c in a.terms.items():
-        terms[(xs[: pos - 1] + (Fraction(0),) + xs[pos - 1 :], ys)] = c
-    return Series._trusted(sig, terms, a.precision)
 
 
 def insert_y(a: Series, pos: int) -> Series:

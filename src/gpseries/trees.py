@@ -8,7 +8,6 @@ and serialization operate on these trees.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -178,23 +177,3 @@ def tree_from_json(data: dict, precision: Rational = None) -> AdmissibleTree:
         stack.extend((c, node.children) for c in reversed(d.get("children", [])))
     m, n = data["sig"]
     return AdmissibleTree(Signature(m, n), out[0])
-
-
-# -- sample points -----------------------------------------------------------
-
-
-def sample_points(
-    sig: Signature, count: int, seed: int, radius: float = 0.25
-) -> list[list[float]]:
-    """Deterministic sample of ambient points: x in (0, r], y in [-r, r]."""
-    rng = random.Random(seed)
-    pts = []
-    for _ in range(count):
-        xs = [rng.uniform(1e-6, radius) for _ in range(sig.m)]
-        ys = [rng.uniform(-radius, radius) for _ in range(sig.n)]
-        pts.append(xs + ys)
-    return pts
-
-
-def point_in_domain(p: Sequence[float], sig: Signature) -> bool:
-    return all(float(p[i]) >= 0 for i in range(sig.m))

@@ -12,8 +12,6 @@ from gpseries.trees import (
     LambdaPalette,
     TreeNode,
     palette_from_spec,
-    point_in_domain,
-    sample_points,
     tree_from_json,
     tree_to_json,
 )
@@ -127,13 +125,3 @@ def test_tree_json_roundtrip_on_real_tree():
     assert tree_to_json(back) == data
     assert back.sig == report.tree.sig
     assert back.height() == report.tree.height()
-
-
-def test_sample_points_deterministic():
-    a = sample_points(SIG11, 10, seed=3, radius=0.1)
-    b = sample_points(SIG11, 10, seed=3, radius=0.1)
-    c = sample_points(SIG11, 10, seed=4, radius=0.1)
-    assert a == b
-    assert a != c
-    assert all(point_in_domain(p, SIG11) for p in a)
-    assert all(p[0] >= 0 for p in a)  # x-coordinates stay nonnegative
