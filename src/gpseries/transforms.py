@@ -143,6 +143,7 @@ class BlowUpXX(_BlowUp):
     """
 
     KIND = "blowup_xx"
+
     def __post_init__(self):
         super().__post_init__()
         if self.lam is NEG_INF or isinstance(self.lam, Fraction) and self.lam < 0:
@@ -195,13 +196,10 @@ class BlowUpXX(_BlowUp):
             q = list(p)
             q[i - 1] = p[i - 1] * p[j - 1]
             return q
-        m, n = sig
+        m = sig.m
         xs = list(p[: m - 1])
-        y1 = p[m - 1]
-        ys = list(p[m:])
-        xi = xs[j - 1] * (lam + y1)
-        nxs = xs[: i - 1] + [xi] + xs[i - 1 :]
-        return nxs + ys
+        xs.insert(i - 1, xs[j - 1] * (lam + p[m - 1]))
+        return xs + list(p[m:])
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         i, j, lam = self._chart()
@@ -228,6 +226,7 @@ class BlowUpYX(_BlowUp):
     """
 
     KIND = "blowup_yx"
+
     def validate(self, sig: Signature) -> None:
         if not (1 <= self.i <= sig.n and 1 <= self.j <= sig.m):
             raise TransformError(f"indices ({self.i},{self.j}) out of range for {sig}")
@@ -303,6 +302,7 @@ class BlowUpYY(_BlowUp):
     """Chart of the y-y blow-up family pi_{m+i,m+j}: y_i <- y_j*(lam + y_i)."""
 
     KIND = "blowup_yy"
+
     def __post_init__(self):
         super().__post_init__()
         if self.lam is NEG_INF:
@@ -599,11 +599,9 @@ class SignChart(ElementaryTransform):
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m = sig.m
-        xnew = p[m]
-        nxs = list(p[:m])
         nys = list(p[m + 1 :])
-        nys = nys[: self.i - 1] + [self.sign * xnew] + nys[self.i - 1 :]
-        return nxs + nys
+        nys.insert(self.i - 1, self.sign * p[m])
+        return list(p[:m]) + nys
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         m = sig.m
