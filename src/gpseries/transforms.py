@@ -99,10 +99,10 @@ class ElementaryTransform:
         d = {"kind": self.KIND}
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, Fraction):
-                v = str(v)
-            elif isinstance(v, tuple):
+            if isinstance(v, tuple):
                 v = [str(c) for c in v]
+            elif not isinstance(v, (int, str)):  # a Fraction
+                v = str(v)
             d[f.name] = v
         return d
 
@@ -119,12 +119,12 @@ class _BlowUp(ElementaryTransform):
     lam: Lambda
 
     def __post_init__(self):
-        if self.lam == INF:
-            object.__setattr__(self, "lam", INF)
-        elif self.lam == NEG_INF:
-            object.__setattr__(self, "lam", NEG_INF)
+        lam = self.lam
+        if isinstance(lam, str) and lam in (INF, NEG_INF):
+            lam = INF if lam == INF else NEG_INF
         else:
-            object.__setattr__(self, "lam", Fraction(self.lam))
+            lam = Fraction(lam)
+        object.__setattr__(self, "lam", lam)
 
     def _chart(self) -> tuple[int, int, Fraction]:
         """``(i, j, lam)`` of an x-x or y-y chart, or ``(j, i, 0)`` for lam = inf."""
