@@ -185,6 +185,18 @@ PINNED_OUTPUTS = {
         "vars x:1 y:1\ny1^2 - x1^3 = 0 & x1 > 0;\n",
         "c67b40bad1fe3b6073ad6f533cd8c1ddd0bf408107deb23c2aad14e4214ee658",
     ),
+    # pieces on all 8 frozen subsets, so x-indices after a frozen x1 shift
+    "parametrize-x2": (
+        ["parametrize", "--samples", "20"],
+        "vars x:2 y:1\ny1 - x1 + x2 = 0;\n",
+        "9db25824368f8c92d70fcfcbf7ac650f39977cfbe5eaae4b4a80103137f1def6",
+    ),
+    # two y's frozen together (zero_y = [1, 2])
+    "parametrize-y2": (
+        ["parametrize", "--samples", "20"],
+        "vars x:1 y:2\ny1 + y2 - x1 = 0;\n",
+        "8d987c45e9bdc73fc5b5148858b2d3b5aea004a18736cc8fb43062d82665a227",
+    ),
 }
 
 
