@@ -235,7 +235,7 @@ def _cmd_parametrize(args, merged) -> int:
     samples = []
     for k, piece in enumerate(param.pieces):
         for _ in range(merged["samples"] // max(1, len(param.pieces))):
-            pt = sample_piece(piece, rng, 0.01, sig)
+            pt = sample_piece(piece, rng, 0.01)
             samples.append({"piece": k, "point": [repr(float(v)) for v in pt]})
     payload = {
         "sig": list(sig),

@@ -23,7 +23,7 @@ from .series import (
     invert_unit,
     nth_root_rational,
     partial_y,
-    set_y_to_zero,
+    set_to_zero,
     substitute_y,
     y_var,
     zero,
@@ -114,7 +114,7 @@ def _subst_last_y(g: Series, a: Series) -> Series:
     n = g.sig.n
     rep = insert_y(a, n).truncate(g.precision)
     composed = substitute_y(g, {n: rep})
-    return set_y_to_zero(composed, n)
+    return set_to_zero(composed, zero_y=(n,))
 
 
 def solve_implicit(g: Series, max_iter: Optional[int] = None) -> Series:

@@ -7,6 +7,12 @@ each piece freezes some ambient variables to zero, runs a joint
 monomialisation of the remaining constraint series, and selects the
 sub-quadrants of a leaf space on which every constraint of some conjunction
 holds identically (by the sign of the leaf normal forms).
+
+Pieces come in one fixed order: the frozen subsets in lexicographic order
+of their sorted ambient positions (x1..xm, then y1..yn; over (1,1) that is
+none, x1, x1 y1, y1), then the leaves of each subset's division chain in
+branch order, then each leaf's sub-quadrants in ``enumerate_subquadrants``
+order.
 """
 
 from __future__ import annotations
@@ -14,22 +20,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .parser import BasicSetExpr
-from .series import (
-    Series,
-    Signature,
-    evaluate,
-    render,
-    set_x_to_zero,
-    set_y_to_zero,
-)
+from .series import Series, Signature, evaluate, render, set_to_zero
 from .monomialize import EngineOptions, NormalForm, division_chain
 from .transforms import _forward_walk, _inverse_walk, chain_sigs, chain_to_json
 
 ZERO, POS, NEG = "zero", "pos", "neg"
+
+# relative round-trip error at which ``piece_covers`` accepts a point
+COVER_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -106,65 +108,42 @@ class Parametrization:
         return {"sig": list(self.sig), "pieces": [p.to_json() for p in self.pieces]}
 
 
-def _reduce_series(s: Series, axis: str, idx: int) -> Series:
-    return set_x_to_zero(s, idx) if axis == "x" else set_y_to_zero(s, idx)
-
-
 def parametrize_basic(
     bset: BasicSetExpr, options: EngineOptions = EngineOptions()
 ) -> Parametrization:
+    """Pieces for every frozen subset, in the order of the module docstring."""
+    m, n = bset.sig
     pieces: list[ParamPiece] = []
-    _param_rec(bset.sig, bset.pieces, (), (), 0, options, pieces)
+    for frozen in sorted(
+        c for r in range(m + n + 1) for c in combinations(range(m + n), r)
+    ):
+        zero_x = tuple(p + 1 for p in frozen if p < m)
+        zero_y = tuple(p - m + 1 for p in frozen if p >= m)
+        _param_leafwork(bset, zero_x, zero_y, options, pieces)
     return Parametrization(bset.sig, pieces)
 
 
-def _param_rec(sig, conjunctions, zero_x, zero_y, start, options, out) -> None:
-    _param_leafwork(sig, conjunctions, zero_x, zero_y, options, out)
-    # freeze further coordinates to zero, in canonical ascending order so
-    # each subset of coordinates is visited exactly once
-    coords = [("x", i) for i in range(1, sig.m + 1)] + [
-        ("y", j) for j in range(1, sig.n + 1)
-    ]
-    for k in range(start, len(coords)):
-        axis, idx = coords[k]
-        reduced = [
-            [(_reduce_series(s, axis, idx), rel) for s, rel in conj]
-            for conj in conjunctions
-        ]
-        if axis == "x":
-            nz_x = zero_x + (_ambient_index(zero_x, idx),)
-            nz_y = zero_y
-            nsig = Signature(sig.m - 1, sig.n)
-            nstart = k  # coords after removal shift down by one
-        else:
-            nz_x = zero_x
-            nz_y = zero_y + (_ambient_index(zero_y, idx),)
-            nsig = Signature(sig.m, sig.n - 1)
-            nstart = k
-        _param_rec(nsig, reduced, nz_x, nz_y, nstart, options, out)
-
-
-def _ambient_index(already_zero: tuple, reduced_idx: int) -> int:
-    """Translate an index in the reduced space back to the ambient space."""
-    idx = reduced_idx
-    for z in sorted(already_zero):
-        if z <= idx:
-            idx += 1
-    return idx
-
-
-def _param_leafwork(sig, conjunctions, zero_x, zero_y, options, out) -> None:
-    # collect the distinct nonzero constraint series, in deterministic order
-    series_list: list[Series] = []
-    seen = set()
-    for conj in conjunctions:
-        for s, _rel in conj:
-            key = render(s)
-            if key not in seen:
-                seen.add(key)
-                series_list.append(s)
-    live = [s for s in series_list if not s.is_zero()]
-    index_of = {render(s): k for k, s in enumerate(live)}
+def _param_leafwork(bset, zero_x, zero_y, options, out) -> None:
+    sig = Signature(bset.sig.m - len(zero_x), bset.sig.n - len(zero_y))
+    # restrict every constraint once; the distinct nonzero ones, in order of
+    # appearance, go to one division chain, and each conjunction keeps the
+    # chain index (None for a zero series) and the sign its relation needs
+    live: list[Series] = []
+    index_of: dict[str, int] = {}
+    conjunctions = []
+    for conj in bset.pieces:
+        lookup = []
+        for s, rel in conj:
+            r = set_to_zero(s, zero_x, zero_y)
+            k = None
+            if not r.is_zero():
+                key = render(r)
+                if key not in index_of:
+                    index_of[key] = len(live)
+                    live.append(r)
+                k = index_of[key]
+            lookup.append((k, 0 if rel == "EQ0" else 1))
+        conjunctions.append(lookup)
     if live:
         dc = division_chain(live, options)
         tree = dc.report.tree
@@ -176,35 +155,22 @@ def _param_leafwork(sig, conjunctions, zero_x, zero_y, options, out) -> None:
         branches = [([], sig, [])]
     for chain, leaf_sig, factors in branches:
         for quad in enumerate_subquadrants(leaf_sig):
-            if _quad_satisfies(conjunctions, factors, index_of, quad):
+            if any(
+                all(
+                    want == (0 if k is None else _sign_on_quadrant(factors[k], quad))
+                    for k, want in conj
+                )
+                for conj in conjunctions
+            ):
                 out.append(
                     ParamPiece(zero_x, zero_y, sig, list(chain), leaf_sig, quad)
                 )
 
 
-def _quad_satisfies(conjunctions, factors, index_of, quad) -> bool:
-    for conj in conjunctions:
-        ok = True
-        for s, rel in conj:
-            if s.is_zero():
-                sign = 0
-            else:
-                sign = _sign_on_quadrant(factors[index_of[render(s)]], quad)
-            if rel == "EQ0" and sign != 0:
-                ok = False
-                break
-            if rel == "GT0" and sign != 1:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
 # -- numeric helpers over pieces ----------------------------------------------
 
 
-def embed_zeros(piece: ParamPiece, reduced_point: Sequence[float], ambient_sig: Signature):
+def embed_zeros(piece: ParamPiece, reduced_point: Sequence[float]):
     xs = list(reduced_point[: piece.sig.m])
     ys = list(reduced_point[piece.sig.m :])
     for z in sorted(piece.zero_x):
@@ -230,28 +196,24 @@ def strip_zeros(piece: ParamPiece, ambient_point: Sequence[float], ambient_sig: 
     return xs + ys
 
 
-def sample_piece(
-    piece: ParamPiece, rng: random.Random, radius: float, ambient_sig: Signature
-):
+def sample_piece(piece: ParamPiece, rng: random.Random, radius: float):
     """A random ambient point in the image of the piece's sub-quadrant."""
     coords = []
-    for s in piece.quadrant.x:
-        coords.append(0.0 if s == ZERO else rng.uniform(radius * 1e-3, radius))
-    for s in piece.quadrant.y:
+    for s in piece.quadrant.x + piece.quadrant.y:
         if s == ZERO:
             coords.append(0.0)
         else:
             v = rng.uniform(radius * 1e-3, radius)
             coords.append(v if s == POS else -v)
     reduced = _forward_walk(piece.chain, piece._sigs, coords)
-    return embed_zeros(piece, reduced, ambient_sig)
+    return embed_zeros(piece, reduced)
 
 
 def piece_covers(
     piece: ParamPiece,
     ambient_point: Sequence[float],
     ambient_sig: Signature,
-    tol: float = 1e-3,
+    tol: float = COVER_TOL,
 ) -> bool:
     """Whether the point lies in the image of the piece's sub-quadrant.
 
@@ -264,19 +226,10 @@ def piece_covers(
     q = _inverse_walk(piece.chain, piece._sigs, reduced)
     if q is None:
         return False
-    m = piece.leaf_sig.m
     clamped = []
-    for v, s in zip(q[:m], piece.quadrant.x):
+    for v, s in zip(q, piece.quadrant.x + piece.quadrant.y):
         fv = float(v)
-        clamped.append(0.0 if s == ZERO else max(fv, 0.0))
-    for v, s in zip(q[m:], piece.quadrant.y):
-        fv = float(v)
-        if s == ZERO:
-            clamped.append(0.0)
-        elif s == POS:
-            clamped.append(max(fv, 0.0))
-        else:
-            clamped.append(min(fv, 0.0))
+        clamped.append(0.0 if s == ZERO else max(fv, 0.0) if s == POS else min(fv, 0.0))
     back = _forward_walk(piece.chain, piece._sigs, clamped)
     scale = max(1e-12, max(abs(float(v)) for v in reduced) if reduced else 0.0)
     err = max(abs(float(a) - float(b)) for a, b in zip(back, reduced))
@@ -287,7 +240,7 @@ def covering_fraction_for(
     param: Parametrization,
     points: Sequence[Sequence[float]],
     ambient_sig: Signature,
-    tol: float = 1e-7,
+    tol: float = COVER_TOL,
 ) -> float:
     if not points:
         return 1.0

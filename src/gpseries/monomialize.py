@@ -53,7 +53,7 @@ from .series import (
     min_support,
     monomial as monomial_series,
     render,
-    set_y_to_zero,
+    set_to_zero,
     total_degree,
 )
 from .transforms import (
@@ -496,7 +496,7 @@ class _Engine:
         m, n = f.sig
         lcm_i = math.lcm(*coeffs.keys())
         sub_sig = Signature(m, n - 1)
-        dropped = {i: set_y_to_zero(coeffs[i], n) for i in sorted(coeffs)}
+        dropped = {i: set_to_zero(coeffs[i], zero_y=(n,)) for i in sorted(coeffs)}
         forms = {i: normal_form(c) for i, c in dropped.items()}
         family = []
         if all(nf is not None for nf in forms.values()):

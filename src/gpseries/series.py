@@ -383,30 +383,21 @@ def partial_y(a: Series, j: int) -> Series:
     return Series._trusted(a.sig, terms, prec)
 
 
-def set_x_to_zero(a: Series, i: int) -> Series:
-    """Set X_i = 0 and drop the variable from the signature (1-based)."""
-    if not 1 <= i <= a.sig.m:
-        raise SeriesError(f"x-index {i} out of range for {a.sig}")
-    sig = Signature(a.sig.m - 1, a.sig.n)
+def set_to_zero(a: Series, zero_x=(), zero_y=()) -> Series:
+    """Set the listed X_i and Y_j to 0 and drop them from the signature
+    (1-based), keeping the term order and the precision."""
+    for axis, idx, k in (("x", zero_x, a.sig.m), ("y", zero_y, a.sig.n)):
+        for i in idx:
+            if not 1 <= i <= k:
+                raise SeriesError(f"{axis}-index {i} out of range for {a.sig}")
+    keep_x = [i for i in range(a.sig.m) if i + 1 not in zero_x]
+    keep_y = [j for j in range(a.sig.n) if j + 1 not in zero_y]
     terms = {}
     for (xs, ys), c in a.terms.items():
-        if xs[i - 1] != 0:
+        if any(xs[i - 1] for i in zero_x) or any(ys[j - 1] for j in zero_y):
             continue
-        terms[(xs[: i - 1] + xs[i:], ys)] = c
-    return Series._trusted(sig, terms, a.precision)
-
-
-def set_y_to_zero(a: Series, j: int) -> Series:
-    """Set Y_j = 0 and drop the variable from the signature (1-based)."""
-    if not 1 <= j <= a.sig.n:
-        raise SeriesError(f"y-index {j} out of range for {a.sig}")
-    sig = Signature(a.sig.m, a.sig.n - 1)
-    terms = {}
-    for (xs, ys), c in a.terms.items():
-        if ys[j - 1] != 0:
-            continue
-        terms[(xs, ys[: j - 1] + ys[j:])] = c
-    return Series._trusted(sig, terms, a.precision)
+        terms[(tuple(xs[i] for i in keep_x), tuple(ys[j] for j in keep_y))] = c
+    return Series._trusted(Signature(len(keep_x), len(keep_y)), terms, a.precision)
 
 
 def binom(alpha: Fraction, k: int) -> Fraction:

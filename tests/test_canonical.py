@@ -19,7 +19,7 @@ from gpseries.series import (
     insert_y,
     invert_unit,
     partial_y,
-    set_y_to_zero,
+    set_to_zero,
     substitute_y,
 )
 from gpseries.division import (
@@ -86,7 +86,7 @@ def test_substitution_and_inversion_are_canonical(sig):
             reps[j] = rep - constant(sig, rep.constant_term(), rep.precision)
         assert_canonical(substitute_y(a, reps))
         assert_canonical(invert_unit(random_unit(rng, sig)))
-        for helper in (partial_y(a, 1), set_y_to_zero(a, 1),
+        for helper in (partial_y(a, 1), set_to_zero(a, zero_y=(1,)),
                        insert_y(a, 1), *coefficients_in_y(a, 1).values(),
                        *split_in_y(a, 2)):
             assert_canonical(helper)

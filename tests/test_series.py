@@ -25,8 +25,7 @@ from gpseries.series import (
     partial_y,
     _rational_power,
     render,
-    set_x_to_zero,
-    set_y_to_zero,
+    set_to_zero,
     substitute_y,
     total_degree,
     x_var,
@@ -285,15 +284,37 @@ def test_nth_root_rational_of_large_integers():
 def test_insert_and_zero_roundtrip():
     s = ps("x1^2 + x1*y1", 1, 1)
     with_x2 = ps("x1^2 + x1*y1 + x2*y1 + x1*x2^(1/2)", 2, 1)
-    assert set_x_to_zero(with_x2, 2).eq_mod_precision(s)
+    assert set_to_zero(with_x2, zero_x=(2,)).eq_mod_precision(s)
     up2 = insert_y(s, 2)
     assert up2.sig == Signature(1, 2)
-    assert set_y_to_zero(up2, 2).eq_mod_precision(s)
+    assert set_to_zero(up2, zero_y=(2,)).eq_mod_precision(s)
 
 
 def test_set_y_to_zero_kills_terms():
     s = ps("x1 + x1*y1^2", 1, 1)
-    assert set_y_to_zero(s, 1).eq_mod_precision(ps("x1", 1, 0))
+    assert set_to_zero(s, zero_y=(1,)).eq_mod_precision(ps("x1", 1, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_set_to_zero_matches_evaluate(data):
+    # restricting any subset of variables at once is evaluation with those
+    # coordinates set to zero
+    sig = data.draw(st.sampled_from([SIG21, Signature(1, 2), Signature(2, 2)]))
+    a = data.draw(st.one_of(series_st(sig), series_st(sig, x_exps=int_x_exps)))
+    zx = tuple(i for i in range(1, sig.m + 1) if data.draw(st.booleans()))
+    zy = tuple(j for j in range(1, sig.n + 1) if data.draw(st.booleans()))
+    coord = st.fractions(0, 1, max_denominator=20)
+    xs = [data.draw(coord) for _ in range(sig.m)]
+    ys = [data.draw(coord) for _ in range(sig.n)]
+    point = [Fraction(0) if i in zx else v for i, v in enumerate(xs, 1)]
+    point += [Fraction(0) if j in zy else v for j, v in enumerate(ys, 1)]
+    reduced_point = [v for i, v in enumerate(xs, 1) if i not in zx]
+    reduced_point += [v for j, v in enumerate(ys, 1) if j not in zy]
+    r = set_to_zero(a, zx, zy)
+    assert r.sig == Signature(sig.m - len(zx), sig.n - len(zy))
+    assert r.precision == a.precision
+    assert evaluate(r, reduced_point).value == evaluate(a, point).value
 
 
 def test_substitute_y_oracle():
