@@ -619,23 +619,48 @@ _KINDS = {
 }
 
 
+def _json_field(d: dict, kind: str, name: str):
+    if name not in d:
+        raise TransformError(f"{kind} JSON has no field {name!r}")
+    return d[name]
+
+
 def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransform:
-    kind = d["kind"]
+    """Inverse of ``to_json``; malformed input raises ``TransformError``
+    naming the kind and the field."""
+    kind = _json_field(d, "transform", "kind")
     if kind == Tschirnhausen.KIND:
         from .parser import parse_series
 
-        m, nm1 = d["h_sig"]
+        m, nm1 = _json_field(d, kind, "h_sig")
         if "h_prec" in d:
             precision = Fraction(d["h_prec"])
         if precision is None:
             raise TransformError("tschirnhausen deserialization needs a precision")
         return Tschirnhausen(
-            parse_series(d["h"], Signature(m, nm1), precision), d.get("j", 0)
+            parse_series(_json_field(d, kind, "h"), Signature(m, nm1), precision),
+            d.get("j", 0),
         )
     if kind not in _KINDS:
         raise TransformError(f"unknown transform kind {kind!r}")
     cls = _KINDS[kind]
-    return cls(**{f.name: d[f.name] for f in fields(cls)})
+    args = {}
+    for f in fields(cls):
+        v = _json_field(d, kind, f.name)
+        try:
+            if f.type == "int":
+                if type(v) is not int:
+                    raise TypeError
+            elif f.type == "tuple":
+                if not isinstance(v, (list, tuple)):
+                    raise TypeError
+                v = tuple(Fraction(c) for c in v)
+            elif not (f.type == "Lambda" and v in (INF, NEG_INF)):
+                v = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise TransformError(f"{kind} JSON has a bad {f.name!r}: {v!r}") from None
+        args[f.name] = v
+    return cls(**args)
 
 
 # -- chains -------------------------------------------------------------------

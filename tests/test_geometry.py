@@ -74,6 +74,14 @@ def test_cone_parametrization():
         ), (x, y)
 
 
+def test_covering_default_tolerance_is_the_piece_tolerance():
+    # a caller that omits tol gets the same acceptance as piece_covers
+    param = parametrize_basic(bset("y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0"))
+    rng = random.Random(1)
+    pts = [[t, t] for t in (rng.uniform(1e-4, 0.01) for _ in range(300))]
+    assert covering_fraction_for(param, pts, SIG11) >= 0.99
+
+
 def test_cusp_parametrization():
     b = bset("y1^2 - x1^3 = 0 & x1 > 0")
     param = parametrize_basic(b)

@@ -30,6 +30,7 @@ from gpseries.transforms import (
     pullback_chain,
     transform_from_json,
 )
+from gpseries.trees import tree_from_json
 from conftest import ps, random_series
 
 SIG11 = Signature(1, 1)
@@ -292,6 +293,24 @@ def test_transform_json_is_pinned():
     assert [t.describe() for t in ts] == PINNED_DESCRIBE
     for t, text in zip(ts, PINNED_DESCRIBE):
         assert transform_from_json(json.loads(text)) == t
+
+
+@pytest.mark.parametrize(
+    "d, field",
+    [
+        ({"kind": "blowup_xx", "i": 2, "j": 1}, "lam"),
+        ({"kind": "ramify_y", "i": 1, "d": "2", "sign": 1}, "d"),
+        ({"kind": "linear", "i": 2, "c": ["x"]}, "c"),
+        ({"i": 2, "j": 1, "lam": "0"}, "kind"),
+    ],
+    ids=["missing-lam", "str-degree", "bad-coefficient", "no-kind"],
+)
+def test_malformed_transform_json_raises_transform_error(d, field):
+    with pytest.raises(TransformError, match=repr(field)) as err:
+        transform_from_json(d)
+    assert str(err.value).startswith(d.get("kind", "transform"))
+    with pytest.raises(TransformError):
+        tree_from_json({"sig": [2, 1], "root": {"transform": d}})
 
 
 def test_chain_json_roundtrip():
