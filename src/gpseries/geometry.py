@@ -61,11 +61,8 @@ def _sign_on_quadrant(factor: Optional[NormalForm], quad: SubQuadrant) -> int:
     if factor is None:
         return 0
     xs, ys = factor.monomial
-    for e, s in zip(xs, quad.x):
-        if e != 0 and s == ZERO:
-            return 0
     sign = 1 if factor.unit.constant_term() > 0 else -1
-    for e, s in zip(ys, quad.y):
+    for e, s in zip(xs + ys, quad.x + quad.y):
         if e != 0 and s == ZERO:
             return 0
         if s == NEG and e % 2 == 1:
@@ -170,30 +167,26 @@ def _param_leafwork(bset, zero_x, zero_y, options, out) -> None:
 # -- numeric helpers over pieces ----------------------------------------------
 
 
+def _frozen_positions(piece: ParamPiece, m: int) -> list:
+    """0-based ambient positions of the piece's frozen coordinates, ascending;
+    ``m`` is the number of ambient x-variables."""
+    return [z - 1 for z in sorted(piece.zero_x)] + [m + z - 1 for z in sorted(piece.zero_y)]
+
+
 def embed_zeros(piece: ParamPiece, reduced_point: Sequence[float]):
-    xs = list(reduced_point[: piece.sig.m])
-    ys = list(reduced_point[piece.sig.m :])
-    for z in sorted(piece.zero_x):
-        xs.insert(z - 1, 0.0)
-    for z in sorted(piece.zero_y):
-        ys.insert(z - 1, 0.0)
-    return xs + ys
+    point = list(reduced_point)
+    for k in _frozen_positions(piece, piece.sig.m + len(piece.zero_x)):
+        point.insert(k, 0.0)
+    return point
 
 
 def strip_zeros(piece: ParamPiece, ambient_point: Sequence[float], ambient_sig: Signature):
     """Project an ambient point onto the piece's reduced space, or None when
     the point is not (numerically) on the frozen hyperplanes."""
-    xs = list(ambient_point[: ambient_sig.m])
-    ys = list(ambient_point[ambient_sig.m :])
-    for z in sorted(piece.zero_x, reverse=True):
-        if abs(xs[z - 1]) > 1e-9:
-            return None
-        del xs[z - 1]
-    for z in sorted(piece.zero_y, reverse=True):
-        if abs(ys[z - 1]) > 1e-9:
-            return None
-        del ys[z - 1]
-    return xs + ys
+    frozen = _frozen_positions(piece, ambient_sig.m)
+    if any(abs(ambient_point[k]) > 1e-9 for k in frozen):
+        return None
+    return [v for k, v in enumerate(ambient_point) if k not in frozen]
 
 
 def sample_piece(piece: ParamPiece, rng: random.Random, radius: float):
@@ -229,7 +222,12 @@ def piece_covers(
     clamped = []
     for v, s in zip(q, piece.quadrant.x + piece.quadrant.y):
         fv = float(v)
-        clamped.append(0.0 if s == ZERO else max(fv, 0.0) if s == POS else min(fv, 0.0))
+        if s == ZERO:
+            clamped.append(0.0)
+        elif s == POS:
+            clamped.append(max(fv, 0.0))
+        else:
+            clamped.append(min(fv, 0.0))
     back = _forward_walk(piece.chain, piece._sigs, clamped)
     scale = max(1e-12, max(abs(float(v)) for v in reduced) if reduced else 0.0)
     err = max(abs(float(a) - float(b)) for a, b in zip(back, reduced))
