@@ -645,7 +645,7 @@ def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransf
         raise TransformError(f"unknown transform kind {kind!r}")
     cls = _KINDS[kind]
     args = {}
-    for f in fields(cls):
+    for f in fields(cls):  # f.type is the annotation's text
         v = _json_field(d, kind, f.name)
         try:
             if f.type == "int":
