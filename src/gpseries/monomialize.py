@@ -143,52 +143,125 @@ def _coords(sig: Signature):
     ]
 
 
-def _divisors(v: int, cap: int = 10**12) -> list[int]:
-    v = abs(v)
-    if v == 0:
-        return []
-    if v > cap:
-        return [d for d in range(1, 1001) if v % d == 0]
-    out = []
-    d = 1
-    while d * d <= v:
-        if v % d == 0:
-            out.append(d)
-            out.append(v // d)
-        d += 1
-    return sorted(set(out))
-
-
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
-    """Nonzero rational roots of sum(coeffs[k] * t^k), exact."""
+    """Nonzero rational roots of ``sum(coeffs[k] * t^k)``, sorted, exact.
+
+    ``f`` is the square-free part of the primitive integer polynomial, of
+    degree ``d``.  Every rational root of ``f`` is ``s / a_d`` for an integer
+    root ``s`` of the monic polynomial ``a_d^(d-1) * f(s / a_d)``, which
+    ``_integer_roots`` isolates.  Only integer arithmetic is used: no integer
+    is factored, no float is formed and there is no limit on the size of the
+    coefficients.  0 is never reported and each root appears once, whatever
+    its multiplicity."""
     coeffs = [Fraction(c) for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    start = 0
-    while start < len(coeffs) and coeffs[start] == 0:
-        start += 1
-    coeffs = coeffs[start:]
-    if len(coeffs) <= 1:
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    if len(nonzero) < 2:
         return []
+    coeffs = coeffs[nonzero[0] : nonzero[-1] + 1]
     denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
-    a0, ad = ints[0], ints[-1]
-    roots = set()
-    for p in _divisors(a0):
-        for q in _divisors(ad):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(ints):
-                    acc = acc * cand + c
-                if acc == 0:
-                    roots.add(cand)
-    return sorted(roots)
+    ints = [c.numerator * (denom_lcm // c.denominator) for c in coeffs]
+    f = _squarefree_part(_primitive(ints))
+    d, ad = len(f) - 1, f[-1]
+    g = [c * ad ** (d - 1 - k) for k, c in enumerate(f[:-1])] + [1]
+    return sorted(Fraction(s, ad) for s in _integer_roots(g))
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """``a`` divided by the gcd of its coefficients."""
+    content = math.gcd(*a)
+    return [c // content for c in a] if content else a
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """``f / gcd(f, f')`` for a primitive ``f``; the gcd comes from the
+    primitive pseudo-remainder sequence, so every coefficient stays an
+    integer."""
+    a, b = f, _primitive([k * c for k, c in enumerate(f)][1:])
+    while len(b) > 1:
+        a, b = b, _primitive(_pseudo_remainder(a, b))
+    if b:  # a nonzero constant remainder: f and f' are coprime
+        return f
+    return _exact_quotient(f, a)
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Remainder of ``lc(b)^k * a`` on division by ``b``, without leading
+    zeros (``[]`` when it vanishes)."""
+    a = list(a)
+    while len(a) >= len(b):
+        lead, shift = a.pop(), len(a) + 1 - len(b)
+        a = [c * b[-1] for c in a]
+        for k, c in enumerate(b[:-1]):
+            a[k + shift] -= lead * c
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
+    """``f / h`` for a primitive ``h`` that divides ``f``; by Gauss's lemma
+    the quotient has integer coefficients."""
+    r, q = list(f), []
+    for i in range(len(f) - len(h), -1, -1):
+        c = r[i + len(h) - 1] // h[-1]
+        q.append(c)
+        for k, hk in enumerate(h):
+            r[i + k] -= c * hk
+    return q[::-1]
+
+
+def _integer_roots(g: list[int]) -> list[int]:
+    """Integer roots of the monic integer polynomial ``g`` (lowest degree
+    first, ``g[0] != 0``), each once.
+
+    Real-root isolation by Descartes' rule of signs with bisection (Collins &
+    Akritas): on each side of 0, the interval ``(0, 2^e)`` beyond the
+    Fujiwara root bound is halved while the rule allows a root in it.  A node
+    is ``(c, w, p)`` with ``p(x) = g(±(c + w*x))``, so halving is a rescaling
+    and a Taylor shift by 1, and the value at every integer midpoint is the
+    constant term of the right half.  Intervals of width 1 hold no further
+    integer and are dropped."""
+    d = len(g) - 1
+    e = 1 + max(-(-abs(c).bit_length() // (d - k)) for k, c in enumerate(g[:-1]))
+    roots = []
+    for sign in (1, -1):
+        stack = [(0, 1 << e, [c * sign**k << (e * k) for k, c in enumerate(g)])]
+        while stack:
+            c, w, p = stack.pop()
+            if w == 1 or not _sign_changes(_shift_by_one(p[::-1])):
+                continue
+            w //= 2
+            # p_k is a Taylor coefficient of g times w^k, so 2^k divides it
+            left = [a >> k for k, a in enumerate(p)]
+            right = _shift_by_one(left)
+            if right[0] == 0:
+                roots.append(sign * (c + w))
+            stack += [(c, w, left), (c + w, w, right)]
+    return roots
+
+
+def _shift_by_one(p: list[int]) -> list[int]:
+    """Coefficients of ``p(x + 1)``."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for k in range(len(p) - 2, i - 1, -1):
+            p[k] += p[k + 1]
+    return p
+
+
+def _sign_changes(p: list[int]) -> bool:
+    """Whether the nonzero coefficients of ``p`` change sign, i.e. whether
+    Descartes' rule allows ``p`` a positive root."""
+    signs = {a > 0 for a in p if a}
+    return len(signs) == 2
 
 
 def critical_lambdas(g: Series, src, tgt) -> list[Fraction]:
     """Chart parameters at which the family chart `src <- tgt*(lam + v)`
-    degenerates: nonzero rational roots of the edge polynomial built from the
-    terms supported only on the (src, tgt) axes at minimal combined degree."""
+    degenerates: the nonzero rational roots of the edge polynomial built from
+    the terms supported only on the (src, tgt) axes at minimal combined
+    degree, sorted.  They are found exactly by ``rational_roots``, in integer
+    arithmetic with no limit on coefficient size; 0 is never reported."""
     mu = None
     for exp in g.terms:
         s = _coord_get(exp, src) + _coord_get(exp, tgt)

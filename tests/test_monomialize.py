@@ -1,12 +1,15 @@
 """Monomialisation engine: corpus walkthroughs, normal forms, division chains."""
 
 from fractions import Fraction
+import math
 import random
 import sys
 import threading
 import time
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from gpseries.series import Signature, Series, _leq, render
 from gpseries.transforms import chain_to_json, pullback_chain
@@ -61,6 +64,62 @@ def test_critical_lambdas_catches_diagonal_roots():
     assert critical_lambdas(g, ("y", 1), ("x", 1)) == [-1, 1]
     g2 = ps("y1^2 - 4*x1^2", 1, 1)
     assert 2 in critical_lambdas(g2, ("y", 1), ("x", 1))
+
+
+def test_rational_roots_beyond_a_trillion():
+    assert rational_roots([-1, 10**13 + 37]) == [Fraction(1, 10**13 + 37)]
+    assert rational_roots([-7 * 1000003, 1009 * 10**6 * 1000003]) == [
+        Fraction(7, 1009 * 10**6)
+    ]
+    g = ps("10000000000037*y1 - x1", 1, 1)
+    assert critical_lambdas(g, ("y", 1), ("x", 1)) == [Fraction(1, 10000000000037)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
+
+
+BIG = 10**15
+
+
+@st.composite
+def planted_polys(draw):
+    """Coefficients, lowest degree first, of ``scale * prod (t - p/q)^mult``
+    times an optional irreducible quadratic ``t^2 + b*t + c`` and padded with
+    zero coefficients at both ends; integers or Fractions."""
+    poly = [Fraction(draw(st.integers(1, BIG)), draw(st.integers(1, BIG)))]
+    poly[0] *= draw(st.sampled_from([1, -1]))
+    for _ in range(draw(st.integers(0, 4))):
+        root = Fraction(draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG)))
+        for _ in range(draw(st.integers(1, 2))):
+            poly = _poly_mul(poly, [-root, 1])
+    if draw(st.booleans()):
+        b = draw(st.integers(-(10**6), 10**6))
+        poly = _poly_mul(poly, [b * b + draw(st.integers(1, BIG)), b, 1])
+    poly = [Fraction(0)] * draw(st.integers(0, 2)) + poly
+    poly += [Fraction(0)] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        scale = math.lcm(*(c.denominator for c in poly))
+        poly = [int(c * scale) for c in poly]
+    return poly
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_polys())
+def test_rational_roots_match_sympy(coeffs):
+    t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * t**k
+               for k, c in enumerate(map(Fraction, coeffs)))
+    want = sorted(
+        Fraction(int(r.p), int(r.q))
+        for r in sympy.Poly(expr, t).ground_roots()
+        if r != 0
+    )
+    assert rational_roots(coeffs) == want
 
 
 # -- single-series engine -----------------------------------------------------------
