@@ -619,48 +619,80 @@ _KINDS = {
 }
 
 
-def _json_field(d: dict, kind: str, name: str):
-    if name not in d:
-        raise TransformError(f"{kind} JSON has no field {name!r}")
-    return d[name]
+_REQUIRED = object()
+
+
+def _json_field(d: dict, kind: str, name: str, convert=None, default=_REQUIRED):
+    """``d[name]`` passed through ``convert``.  A missing field without a
+    ``default``, or a value that ``convert`` rejects with ``TypeError`` or
+    ``ValueError``, raises ``TransformError`` naming the kind and the field."""
+    if not isinstance(d, dict) or name not in d:
+        if default is _REQUIRED:
+            raise TransformError(f"{kind} JSON has no field {name!r}")
+        return default
+    v = d[name]
+    try:
+        return v if convert is None else convert(v)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise TransformError(f"{kind} JSON has a bad {name!r}: {v!r}") from None
+
+
+def _of_type(cls: type):
+    """Converter that passes values of exactly type ``cls`` (so ``True`` is
+    not an int) and rejects others with ``TypeError``."""
+
+    def check(v):
+        if type(v) is not cls:
+            raise TypeError
+        return v
+
+    return check
+
+
+def _json_signature(v) -> Signature:
+    """The ``Signature`` of a JSON ``[m, n]`` of nonnegative ints."""
+    if not (isinstance(v, (list, tuple)) and len(v) == 2):
+        raise TypeError
+    m, n = map(_of_type(int), v)
+    if m < 0 or n < 0:
+        raise ValueError
+    return Signature(m, n)
+
+
+def _fractions(v) -> tuple:
+    if not isinstance(v, (list, tuple)):
+        raise TypeError
+    return tuple(Fraction(c) for c in v)
+
+
+def _lambda(v) -> Lambda:
+    return v if v in (INF, NEG_INF) else Fraction(v)
+
+
+# JSON converter per dataclass field annotation (``f.type`` is its text)
+_FIELD_CONVERTERS = {"int": _of_type(int), "tuple": _fractions, "Lambda": _lambda}
 
 
 def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransform:
     """Inverse of ``to_json``; malformed input raises ``TransformError``
     naming the kind and the field."""
-    kind = _json_field(d, "transform", "kind")
+    kind = _json_field(d, "transform", "kind", _of_type(str))
     if kind == Tschirnhausen.KIND:
         from .parser import parse_series
 
-        m, nm1 = _json_field(d, kind, "h_sig")
-        if "h_prec" in d:
-            precision = Fraction(d["h_prec"])
+        h_sig = _json_field(d, kind, "h_sig", _json_signature)
+        precision = _json_field(d, kind, "h_prec", Fraction, precision)
         if precision is None:
             raise TransformError("tschirnhausen deserialization needs a precision")
-        return Tschirnhausen(
-            parse_series(_json_field(d, kind, "h"), Signature(m, nm1), precision),
-            d.get("j", 0),
-        )
+        h = _json_field(d, kind, "h", lambda text: parse_series(text, h_sig, precision))
+        return Tschirnhausen(h, _json_field(d, kind, "j", _of_type(int), 0))
     if kind not in _KINDS:
         raise TransformError(f"unknown transform kind {kind!r}")
     cls = _KINDS[kind]
-    args = {}
-    for f in fields(cls):  # f.type is the annotation's text
-        v = _json_field(d, kind, f.name)
-        try:
-            if f.type == "int":
-                if type(v) is not int:
-                    raise TypeError
-            elif f.type == "tuple":
-                if not isinstance(v, (list, tuple)):
-                    raise TypeError
-                v = tuple(Fraction(c) for c in v)
-            elif not (f.type == "Lambda" and v in (INF, NEG_INF)):
-                v = Fraction(v)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise TransformError(f"{kind} JSON has a bad {f.name!r}: {v!r}") from None
-        args[f.name] = v
-    return cls(**args)
+    return cls(**{
+        f.name: _json_field(d, kind, f.name, _FIELD_CONVERTERS.get(f.type, Fraction))
+        for f in fields(cls)
+    })
 
 
 # -- chains -------------------------------------------------------------------

@@ -14,6 +14,9 @@ from typing import Iterator, Optional, Sequence
 
 from .series import Rational, Series, SeriesError, Signature
 from .transforms import (
+    _json_field,
+    _json_signature,
+    _of_type,
     INF,
     NEG_INF,
     ElementaryTransform,
@@ -164,16 +167,22 @@ def tree_to_json(tree: AdmissibleTree) -> dict:
 
 def tree_from_json(data: dict, precision: Rational = None) -> AdmissibleTree:
     """Inverse of ``tree_to_json``, rebuilt in pre-order by an explicit-stack
-    walk, so a malformed tree fails at its first bad node."""
+    walk, so a malformed tree fails at its first bad node; malformed input
+    raises ``TransformError`` naming the field."""
+    root = _json_field(data, "tree", "root")
+    sig = _json_field(data, "tree", "sig", _json_signature)
     out: list = []
-    stack = [(data["root"], out)]
+    stack = [("root", root, out)]
     while stack:
-        d, siblings = stack.pop()
+        name, d, siblings = stack.pop()
+        if not isinstance(d, dict):
+            raise TransformError(f"tree JSON has a bad {name!r}: {d!r}")
         t = None
         if "transform" in d:
             t = transform_from_json(d["transform"], precision)
-        node = TreeNode(transform=t, payload=dict(d.get("payload", {})))
+        payload = _json_field(d, "tree", "payload", _of_type(dict), {})
+        node = TreeNode(transform=t, payload=dict(payload))
         siblings.append(node)
-        stack.extend((c, node.children) for c in reversed(d.get("children", [])))
-    m, n = data["sig"]
-    return AdmissibleTree(Signature(m, n), out[0])
+        children = _json_field(d, "tree", "children", _of_type(list), [])
+        stack.extend(("children", c, node.children) for c in reversed(children))
+    return AdmissibleTree(sig, out[0])

@@ -15,7 +15,14 @@ from gpseries.trees import (
     tree_from_json,
     tree_to_json,
 )
-from gpseries.transforms import INF, NEG_INF, BlowUpYX, Linear, Tschirnhausen
+from gpseries.transforms import (
+    INF,
+    NEG_INF,
+    BlowUpYX,
+    Linear,
+    TransformError,
+    Tschirnhausen,
+)
 from gpseries.monomialize import monomialize
 from conftest import ps
 
@@ -116,6 +123,26 @@ def test_tree_json_roundtrip_of_a_deep_chain_at_the_default_recursion_limit():
     ((chain, leaf),) = back.branches()
     assert chain == [Linear(1, ())] * 1000
     assert leaf.payload == {"kind": "zero"}
+
+
+TSCHIRNHAUSEN_BAD_SIG = {"kind": "tschirnhausen", "h_sig": 3, "h": "x1", "h_prec": "2"}
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({}, "root"),
+        ({"root": {}}, "sig"),
+        ({"sig": [1, 1], "root": {"children": [3]}}, "children"),
+        ({"sig": [1, 1], "root": {"children": [{"transform": TSCHIRNHAUSEN_BAD_SIG}]}},
+         "h_sig"),
+        ({"sig": [1, 1], "root": {"transform": {"kind": ["blowup_yx"]}}}, "kind"),
+    ],
+    ids=["no-root", "no-sig", "non-dict-child", "int-h-sig", "list-kind"],
+)
+def test_malformed_tree_json_raises_transform_error(data, field):
+    with pytest.raises(TransformError, match=repr(field)):
+        tree_from_json(data)
 
 
 def test_tree_json_roundtrip_on_real_tree():
