@@ -455,7 +455,8 @@ class Evaluation(NamedTuple):
 
 
 def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
-    """Evaluate at a rational point; exact when every power is rational.
+    """Evaluate at a rational point; exact when every power is rational in
+    every term that does not vanish by a zero coordinate.
 
     Float coordinates are read as the exact dyadic rationals they denote.
     When every x-exponent is an integer the value is computed in integers:
@@ -558,6 +559,8 @@ def _evaluate_by_terms(a: Series, pt: list[Fraction]) -> Union[Fraction, float]:
     exact = True
     total: Union[Fraction, float] = Fraction(0)
     for (xs, ys), c in a.terms.items():
+        if any(e and not base for base, e in zip(pt, xs + ys)):
+            continue  # a zero coordinate to a positive power: exactly 0
         term: Union[Fraction, float] = c
         for base, e in zip(pt[: a.sig.m], xs):
             if e == 0:

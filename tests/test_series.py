@@ -338,11 +338,14 @@ def test_evaluate_value_and_tail():
 
 def _evaluate_by_fractions(a, point):
     """Reference for ``evaluate``: the term-by-term ``Fraction`` sum it used
-    before the common-denominator evaluation, with its float fallback."""
+    before the common-denominator evaluation, with its float fallback; a
+    term with a zero coordinate to a positive power is exactly 0."""
     pt = [Fraction(p) for p in point]
     exact = True
     total = Fraction(0)
     for (xs, ys), c in a.terms.items():
+        if any(e and not base for base, e in zip(pt, xs + ys)):
+            continue
         term = c
         for base, e in zip(pt[: a.sig.m], xs):
             if e == 0:
@@ -388,6 +391,14 @@ def test_evaluate_matches_fraction_sum(data):
         assert type(ev.value) is type(value)
         assert ev.value == value
         assert ev.tail_bound == tail
+
+
+def test_evaluate_is_exact_when_irrational_powers_vanish():
+    # sqrt(1/3) is irrational, but its term has the factor y1 = 0
+    a = ps("x2 + x2^(1/2)*y1", 2, 1)
+    point = [Fraction(0), Fraction(1, 3), Fraction(0)]
+    assert evaluate(a, point).value == Fraction(1, 3)
+    assert evaluate(set_to_zero(a, zero_y=(1,)), point[:2]).value == Fraction(1, 3)
 
 
 def test_evaluate_is_multiplicative():
