@@ -222,6 +222,7 @@ def _integer_roots(g: list[int]) -> list[int]:
     constant term of the right half.  Intervals of width 1 hold no further
     integer and are dropped."""
     d = len(g) - 1
+    # 2^e > 2 * |g_k|^(1/(d-k)) for every k: beyond the Fujiwara bound
     e = 1 + max(-(-abs(c).bit_length() // (d - k)) for k, c in enumerate(g[:-1]))
     roots = []
     for sign in (1, -1):
