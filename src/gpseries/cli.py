@@ -175,7 +175,7 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 
 def _cmd_monomialize(args, merged) -> int:
-    sig, statements = parse_file(_read_input(args.input), merged["precision"])
+    sig, statements = parse_file(_read_input(args.input))
     if len(statements) != 1:
         raise ParseError(f"expected one series statement, got {len(statements)}", 0)
     f = parse_series(statements[0], sig, merged["precision"])
@@ -200,7 +200,7 @@ def _cmd_monomialize(args, merged) -> int:
 
 
 def _cmd_divide(args, merged) -> int:
-    sig, statements = parse_file(_read_input(args.input), merged["precision"])
+    sig, statements = parse_file(_read_input(args.input))
     if not statements:
         raise ParseError("expected at least one series statement", 0)
     inputs = [parse_series(s, sig, merged["precision"]) for s in statements]
@@ -226,7 +226,7 @@ def _cmd_divide(args, merged) -> int:
 
 def _cmd_parametrize(args, merged) -> int:
     text = _read_input(args.input)
-    sig, statements = parse_file(text, merged["precision"])
+    sig, statements = parse_file(text)
     if len(statements) != 1:
         raise ParseError(f"expected one set description, got {len(statements)}", 0)
     bset = parse_basic_set(statements[0], sig, merged["precision"])

@@ -142,12 +142,7 @@ def _param_leafwork(bset, zero_x, zero_y, options, out) -> None:
             lookup.append((k, 0 if rel == "EQ0" else 1))
         conjunctions.append(lookup)
     if live:
-        dc = division_chain(live, options)
-        tree = dc.report.tree
-        branches = [
-            (chain, tree.leaf_sig(chain), factors)
-            for (chain, _leaf), factors in zip(tree.branches(), dc.normal_forms)
-        ]
+        branches = division_chain(live, options).branches
     else:
         branches = [([], sig, [])]
     for chain, leaf_sig, factors in branches:

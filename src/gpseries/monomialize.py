@@ -395,12 +395,14 @@ class _Engine:
             raise PrecisionExhausted("no positive truncation order left")
         if f.is_zero():
             node.payload = {"kind": "zero", "precision": str(f.precision)}
+            node.series = f
             return
         beta = common_monomial(f)
         g = divide_monomial(f, beta)
         if g.is_unit():
             node.payload = NormalForm(beta, g).to_json()
-            self.log(depth, "leaf", monomial=_monomial_json(beta))
+            node.series = f
+            self.log(depth, "leaf", monomial=node.payload["monomial"])
             return
         n = f.sig.n
         if n and beta[1][-1]:
@@ -680,33 +682,33 @@ class MonomialisationReport:
     audit: list
 
     def leaf_results(self) -> list[LeafResult]:
+        """One result per leaf, in branch order, read from the engine's
+        leaves: each leaf keeps the series the engine finished it with, so no
+        chain is pulled back again.  On a ``division_chain`` report that
+        series is the product of the inputs and their pairwise differences,
+        or below a refined leaf the product re-multiplied from its pulled
+        factors."""
         out = []
-        for chain, leaf, (pulled,) in self.tree.pulled_branches([self.input]):
-            payload = leaf.payload
-            sig = self.tree.leaf_sig(chain)
-            nf = normal_form(pulled)
+        for chain, leaf in self.tree.branches():
+            f = leaf.series
+            nf = normal_form(f)
             out.append(
                 LeafResult(
                     chain=chain,
-                    sig=sig,
-                    kind=payload.get("kind", "unknown"),
+                    sig=f.sig,
+                    kind=leaf.payload.get("kind", "unknown"),
                     monomial=nf.monomial if nf else None,
                     unit=nf.unit if nf else None,
-                    precision=pulled.precision,
+                    precision=f.precision,
                 )
             )
         return out
 
     def to_json(self) -> dict:
-        leaves = []
-        for chain, leaf in self.tree.branches():
-            leaves.append(
-                {
-                    "chain": chain_to_json(chain),
-                    "sig": list(self.tree.leaf_sig(chain)),
-                    **leaf.payload,
-                }
-            )
+        leaves = [
+            {"chain": chain_to_json(chain), "sig": list(leaf.series.sig), **leaf.payload}
+            for chain, leaf in self.tree.branches()
+        ]
         return {
             "input": render(self.input),
             "sig": list(self.input.sig),
@@ -732,15 +734,16 @@ class DivisionChainResult:
     """``leaves`` holds one JSON record per leaf, in branch order:
     ``{"chain", "sig", "factors": [...]}`` with one factor per input.
 
-    ``normal_forms`` holds, per leaf in the same order, the input factors as
-    ``NormalForm`` objects: one per input, ``None`` where the input pulls back
-    to zero.  It is what the factor records were rendered from, for callers
-    that need the units themselves; it is not serialised."""
+    ``branches`` holds, per leaf in the same order, ``(chain, leaf
+    signature, forms)``: ``forms`` has the input factors as ``NormalForm``
+    objects, one per input, ``None`` where the input pulls back to zero.  It
+    is what the factor records were rendered from, for callers that need the
+    chains and units themselves; it is not serialised."""
 
     inputs: list
     report: MonomialisationReport
     leaves: list
-    normal_forms: list
+    branches: list
 
 
 def division_chain(
@@ -766,16 +769,18 @@ def division_chain(
     # difference is still unresolved, and walk on into the children that
     # appear.  The engine is deterministic, so a refinement that adds no
     # children would add none on any rerun: the leaf cannot be resolved.
-    resolved = []  # (chain, normal forms of the live inputs) per final leaf
+    branches = []  # (chain, leaf signature, normal form per input) per final leaf
     for chain, leaf, pulled in tree.pulled_branches(targets):
         forms = [normal_form(p) for p in pulled]
         if all(nf is not None or p.is_zero() for p, nf in zip(pulled, forms)):
-            resolved.append((chain, forms[: len(live)]))
+            live_forms = iter(forms)
+            forms = [None if s.is_zero() else next(live_forms) for s in inputs]
+            branches.append((chain, leaf.series.sig, forms))
             continue
         # re-multiplying the pulled factors recovers the precision that a
         # single pullback of the pre-multiplied product loses
         p_leaf = _product([p for p in pulled if not p.is_zero()])
-        leaf.payload = {}
+        leaf.payload, leaf.series = {}, None
         engine.process(leaf, p_leaf, len(chain))
         if leaf.is_leaf():
             raise CapExceeded(
@@ -784,21 +789,18 @@ def division_chain(
     # The ordering check runs only once refinement has ended, as the leaf
     # records are built: an unordered leaf must not pre-empt a CapExceeded
     # that a later refinement would raise.
-    report = MonomialisationReport(prod, tree, engine.audit)
-    leaves, normal_forms = [], []
-    for chain, live_forms in resolved:
-        it = iter(live_forms)
-        forms = [None if s.is_zero() else next(it) for s in inputs]
+    leaves = []
+    for chain, leaf_sig, forms in branches:
         if _first_incomparable_pair([nf.monomial for nf in forms if nf is not None]):
             raise EngineError("leaf monomials are not ordered by division")
         leaves.append(
             {
                 "chain": chain_to_json(chain),
-                "sig": list(tree.leaf_sig(chain)),
+                "sig": list(leaf_sig),
                 "factors": [
                     {"kind": "zero"} if nf is None else nf.to_json() for nf in forms
                 ],
             }
         )
-        normal_forms.append(forms)
-    return DivisionChainResult(list(inputs), report, leaves, normal_forms)
+    report = MonomialisationReport(prod, tree, engine.audit)
+    return DivisionChainResult(list(inputs), report, leaves, branches)

@@ -274,7 +274,7 @@ def parse_header(line: str) -> Signature:
     return Signature(int(m.group(1)), int(m.group(2)))
 
 
-def parse_file(text: str, precision: Rational):
+def parse_file(text: str):
     """Parse a DSL file: header, then ';'-terminated statements.
 
     Returns (signature, list of statement texts).

@@ -400,14 +400,6 @@ def set_to_zero(a: Series, zero_x=(), zero_y=()) -> Series:
     return Series._trusted(Signature(len(keep_x), len(keep_y)), terms, a.precision)
 
 
-def binom(alpha: Fraction, k: int) -> Fraction:
-    """Generalized binomial coefficient (alpha choose k)."""
-    num = Fraction(1)
-    for i in range(k):
-        num *= alpha - i
-    return num / math.factorial(k)
-
-
 def nth_root_rational(q: Fraction, k: int) -> Optional[Fraction]:
     """Exact positive k-th root of a positive rational, or None."""
     if q <= 0 or k < 1:

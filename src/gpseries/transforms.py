@@ -34,7 +34,6 @@ from .series import (
     SignatureMismatch,
     _pruned,
     _rational_power,
-    binom,
     evaluate,
     insert_y,
     render,
@@ -61,7 +60,7 @@ Point = list  # numeric point, entries Fraction or float
 
 def _expand_shifted_power(lam: Fraction, b: int):
     """Coefficients of (lam + V)^b as a list indexed by the power of V."""
-    return [binom(Fraction(b), k) * lam ** (b - k) for k in range(b + 1)]
+    return [math.comb(b, k) * lam ** (b - k) for k in range(b + 1)]
 
 
 @dataclass(frozen=True)
@@ -684,7 +683,10 @@ def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransf
         precision = _json_field(d, kind, "h_prec", Fraction, precision)
         if precision is None:
             raise TransformError("tschirnhausen deserialization needs a precision")
+        # a parsed product certifies more than its factors' precision; the
+        # center keeps exactly the precision it was written with
         h = _json_field(d, kind, "h", lambda text: parse_series(text, h_sig, precision))
+        h = h.truncate(precision)
         return Tschirnhausen(h, _json_field(d, kind, "j", _of_type(int), 0))
     if kind not in _KINDS:
         raise TransformError(f"unknown transform kind {kind!r}")
@@ -761,13 +763,6 @@ def _inverse_walk(
         if q is None:
             return None
     return q
-
-
-def chain_precision_factor(chain: Sequence[ElementaryTransform]) -> Fraction:
-    factor = Fraction(1)
-    for t in chain:
-        factor *= t.precision_factor()
-    return factor
 
 
 def chain_to_json(chain: Sequence[ElementaryTransform]) -> list:

@@ -30,11 +30,15 @@ from .transforms import (
 class TreeNode:
     """One node; ``transform`` is the edge from the parent (None at the root).
 
-    ``payload`` holds engine results (JSON-compatible values only)."""
+    ``payload`` holds the engine's result at a leaf, as JSON.  ``series`` is
+    the engine's own series at a leaf, the one it found normal or zero there
+    (None on inner nodes and on trees read back from JSON); it is not
+    serialised, compared or shown."""
 
     transform: Optional[ElementaryTransform] = None
     children: list["TreeNode"] = field(default_factory=list)
     payload: dict = field(default_factory=dict)
+    series: Optional[Series] = field(default=None, compare=False, repr=False)
 
     def is_leaf(self) -> bool:
         return not self.children
@@ -58,7 +62,8 @@ class AdmissibleTree:
     def pulled_branches(self, series: Sequence[Series]):
         """Yield (chain, leaf, pulled) for every branch, in ``branches()``
         order; ``pulled`` holds each of ``series`` pulled back along the
-        chain, as ``pullback_chain`` would give it.
+        chain, as ``pullback_chain`` would give it.  The engine's own leaf
+        series need no walk: each leaf keeps it in ``TreeNode.series``.
 
         Every series is pulled through every edge once.  A node's pulled list
         is made when the node is popped, so only the lists of the current path

@@ -3,8 +3,15 @@
 from fractions import Fraction
 import random
 
+from hypothesis import settings
+
 from gpseries.series import Series, Signature, monomial
 from gpseries.parser import parse_series
+
+# Every run draws the same examples: they are seeded from each test alone,
+# and no example database replays failures found in another run.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 
 def ps(text: str, m: int, n: int, prec=8) -> Series:

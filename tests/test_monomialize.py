@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from gpseries.series import Signature, Series, _leq, render
 from gpseries.transforms import chain_to_json, pullback_chain
+from gpseries.trees import tree_from_json, tree_to_json
 from gpseries.monomialize import (
     CapExceeded,
     DivisionChainResult,
@@ -175,9 +176,14 @@ def test_report_leaves_use_exact_pullbacks(text, m, n):
     report = monomialize(ps(text, m, n))
     leaves = report.leaf_results()
     assert len(leaves) == len(report.tree.leaves())
+    json_sigs = [record["sig"] for record in report.to_json()["leaves"]]
+    assert json_sigs == [list(leaf.sig) for leaf in leaves]
+    # the engine's leaf series stay out of the tree's JSON and equality
+    assert tree_from_json(tree_to_json(report.tree)) == report.tree
     for leaf in leaves:
         pulled = pullback_chain(leaf.chain, report.input)
         nf = normal_form(pulled)
+        assert leaf.sig == report.tree.leaf_sig(leaf.chain) == pulled.sig
         assert leaf.precision == pulled.precision
         if nf is None:
             assert leaf.monomial is None and leaf.unit is None
@@ -311,9 +317,15 @@ def test_division_chain_factors_normal_and_comparable(texts):
     inputs = [ps(t, 1, 1) for t in texts]
     res = division_chain(inputs)
     assert isinstance(res, DivisionChainResult)
-    branches = list(res.report.tree.branches())
-    assert len(branches) == len(res.leaves) == len(res.normal_forms)
-    for (chain, _leaf), entry, forms in zip(branches, res.leaves, res.normal_forms):
+    tree = res.report.tree
+    branches = list(tree.branches())
+    assert len(branches) == len(res.leaves) == len(res.branches)
+    for (chain, _leaf), entry, (res_chain, sig, forms) in zip(
+        branches, res.leaves, res.branches
+    ):
+        assert res_chain == chain
+        assert sig == tree.leaf_sig(chain)
+        assert entry["sig"] == list(sig)
         assert entry["chain"] == chain_to_json(chain)
         assert len(entry["factors"]) == len(forms) == len(inputs)
         for s, fac, nf in zip(inputs, entry["factors"], forms):

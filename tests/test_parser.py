@@ -119,7 +119,7 @@ def test_parse_header():
 
 
 def test_parse_file():
-    sig, stmts = parse_file("vars x:1 y:1\nx1 + y1;\ny1^2 - x1^2;\n", 8)
+    sig, stmts = parse_file("vars x:1 y:1\nx1 + y1;\ny1^2 - x1^2;\n")
     assert sig == SIG11
     assert len(stmts) == 2
     assert parse_series(stmts[0], sig, 8).eq_mod_precision(ps("x1 + y1", 1, 1))
@@ -127,4 +127,4 @@ def test_parse_file():
 
 def test_parse_file_empty():
     with pytest.raises(ParseError):
-        parse_file("   ", 8)
+        parse_file("   ")

@@ -20,7 +20,6 @@ from gpseries.transforms import (
     SignChart,
     Tschirnhausen,
     TransformError,
-    chain_precision_factor,
     chain_sigs,
     chain_to_json,
     forward_chain,
@@ -239,11 +238,6 @@ def test_inverse_outside_chart_image():
     assert abs(back[1]) > 1
     # the zero chart cannot invert points with x = 0, y != 0
     assert inverse_chain([BlowUpYX(1, 1, 0)], [0.0, 0.3], SIG11) is None
-
-
-def test_chain_precision_factor():
-    chain = [RamifyX(1, Fraction(1, 2)), RamifyX(1, Fraction(1, 3))]
-    assert chain_precision_factor(chain) == Fraction(1, 6)
 
 
 def test_pullback_chain_order():
