@@ -97,6 +97,18 @@ class Series:
     helpers of the division and monomialisation layers build their results
     from canonical operands this way.
 
+    Result precision by operation (``p`` is an operand's precision):
+
+    * sum: the smaller ``p`` (``__add__``);
+    * product: ``min(pa + ord b, pb + ord a)`` (``_product_precision``);
+    * negation, ``scale``, ``insert_y``, ``set_to_zero``: ``p``;
+    * ``truncate(q)``: ``min(p, q)``;
+    * division by ``X^b``: ``p - deg b`` (``divide_monomial``; ``partial_y``
+      and ``coefficients_in_y`` divide by ``Y_j`` and by ``Y_j^k``);
+    * substitution: ``p * min(1, orders)`` (``_substitution_precision``);
+    * unit inversion: ``p`` (``invert_unit``);
+    * Weierstrass division: over-claims, see ROADMAP item 12.
+
     The ``_eval`` slot holds the point-independent part of ``evaluate``,
     built on the first evaluation; it takes no part in equality or hashing.
     """
@@ -292,14 +304,10 @@ def _pruned(
     )
 
 
-def mul_precision(a: Series, b: Series) -> Fraction:
-    """Propagated precision of a product: min(pa + ord(b), pb + ord(a))."""
-    return _product_precision(a.precision, a.order(), b.precision, b.order())
-
-
 def _product_precision(
     pa: Fraction, oa: Optional[Fraction], pb: Fraction, ob: Optional[Fraction]
 ) -> Fraction:
+    """Propagated precision of a product: min(pa + ord(b), pb + ord(a))."""
     candidates = []
     if ob is not None:
         candidates.append(pa + ob)
@@ -308,6 +316,14 @@ def _product_precision(
     if not candidates:
         return min(pa, pb)
     return min(candidates)
+
+
+def _substitution_precision(
+    precision: Fraction, orders: Sequence[Fraction]
+) -> Fraction:
+    """Propagated precision of a substitution whose replacements (nonzero,
+    vanishing at the origin) have the given orders: precision * min(1, orders)."""
+    return precision * min([1, *orders])
 
 
 # -- constructors ----------------------------------------------------------
@@ -589,6 +605,9 @@ def divide_monomial(a: Series, exp: Exponent) -> Series:
     """Divide by the monomial X^exp; every term must be divisible."""
     exp = _check_exponent(a.sig, exp)
     deg = total_degree(exp)
+    prec = a.precision - deg
+    if prec <= 0:
+        raise SeriesError(f"precision must be positive, got {prec}")
     terms = {}
     for (xs, ys), c in a.terms.items():
         nxs = tuple(p - q for p, q in zip(xs, exp[0]))
@@ -596,20 +615,7 @@ def divide_monomial(a: Series, exp: Exponent) -> Series:
         if any(e < 0 for e in nxs) or any(e < 0 for e in nys):
             raise SeriesError(f"term {(xs, ys)} not divisible by {exp}")
         terms[(nxs, nys)] = c
-    return Series(a.sig, terms, a.precision - deg)
-
-
-def mul_monomial(a: Series, exp: Exponent, precision: Optional[Rational] = None) -> Series:
-    """Multiply by the monomial X^exp, extending precision accordingly."""
-    exp = _check_exponent(a.sig, exp)
-    deg = total_degree(exp)
-    prec = Fraction(precision) if precision is not None else a.precision + deg
-    terms = {}
-    for (xs, ys), c in a.terms.items():
-        nxs = tuple(p + q for p, q in zip(xs, exp[0]))
-        nys = tuple(p + q for p, q in zip(ys, exp[1]))
-        terms[(nxs, nys)] = c
-    return Series(a.sig, terms, prec)
+    return Series._trusted(a.sig, terms, prec)
 
 
 def invert_unit(u: Series) -> Series:
@@ -675,8 +681,8 @@ def coefficients_in_y(a: Series, j: int) -> dict[int, Series]:
 def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
     """Substitute Y_j by replacement series (same signature) for each j.
 
-    Replacements must have zero constant term; precision propagates by the
-    factor min(1, min order of the replacements).
+    Replacements must have zero constant term; the result precision follows
+    ``_substitution_precision``.
     """
     for j, rep in replacements.items():
         if not 1 <= j <= a.sig.n:
@@ -685,12 +691,10 @@ def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
             raise SignatureMismatch(f"{rep.sig} != {a.sig}")
         if rep.constant_term() != 0:
             raise SeriesError("replacement series must vanish at the origin")
-    factor = Fraction(1)
-    for rep in replacements.values():
-        o = rep.order()
-        if o is not None and o < 1:
-            factor = min(factor, o)
-    prec = a.precision * factor
+    prec = _substitution_precision(
+        a.precision,
+        [rep.order() for rep in replacements.values() if not rep.is_zero()],
+    )
     work_prec = a.precision
     result = zero(a.sig, work_prec)
     power_cache: dict[tuple[int, int], Series] = {}

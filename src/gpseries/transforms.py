@@ -6,6 +6,11 @@ sends a series F over the upstream signature to F o nu over the downstream
 one, computed exactly on each term and truncated to a soundly propagated
 precision.
 
+A pullback's precision comes from the substitution rule
+(``series._substitution_precision``): charts that substitute series of order
+>= 1 keep f's precision; ``RamifyX`` with gamma < 1 and ``Tschirnhausen``
+with a centre of order < 1 lower it.
+
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
 identity; all other parameters are exact rationals.  In the x-x and y-y
@@ -34,6 +39,7 @@ from .series import (
     SignatureMismatch,
     _pruned,
     _rational_power,
+    _substitution_precision,
     evaluate,
     insert_y,
     render,
@@ -67,8 +73,8 @@ def _expand_shifted_power(lam: Fraction, b: int):
 class ElementaryTransform:
     """Base class.  Concrete variants implement ``validate``, ``pullback``,
     ``forward_point_sig`` and ``inverse_point`` and set ``KIND``; by default
-    ``result_sig`` keeps the signature, ``precision_factor`` is 1 and
-    ``to_json`` writes ``KIND`` and the fields."""
+    ``result_sig`` keeps the signature and ``to_json`` writes ``KIND`` and the
+    fields."""
 
     KIND: ClassVar[str]
 
@@ -77,9 +83,6 @@ class ElementaryTransform:
 
     def validate(self, sig: Signature) -> None:
         raise NotImplementedError
-
-    def precision_factor(self) -> Fraction:
-        return Fraction(1)
 
     def pullback(self, f: Series) -> Series:
         raise NotImplementedError
@@ -373,12 +376,6 @@ class Tschirnhausen(ElementaryTransform):
                 f"center over {self.h.sig}, expected {Signature(sig.m, sig.n - 1)}"
             )
 
-    def precision_factor(self) -> Fraction:
-        o = self.h.order()
-        if o is None or o >= 1:
-            return Fraction(1)
-        return o
-
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
         j = self._index(f.sig)
@@ -480,12 +477,9 @@ class RamifyX(ElementaryTransform):
         if not 1 <= self.i <= sig.m:
             raise TransformError(f"index {self.i} out of range for {sig}")
 
-    def precision_factor(self) -> Fraction:
-        return min(Fraction(1), self.gamma)
-
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        prec = f.precision * self.precision_factor()
+        prec = _substitution_precision(f.precision, [self.gamma])
         terms = {}
         for (xs, ys), c in f.terms.items():
             nxs = list(xs)

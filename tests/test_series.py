@@ -20,7 +20,6 @@ from gpseries.series import (
     invert_unit,
     min_support,
     monomial,
-    mul_monomial,
     nth_root_rational,
     partial_y,
     _rational_power,
@@ -140,7 +139,7 @@ def test_one_is_multiplicative_identity():
         assert (one * a).eq_mod_precision(a)
 
 
-def test_mul_precision_gains_order():
+def test_product_precision_gains_order():
     # multiplying by a series of order 2 pushes the certificate out by 2
     a = ps("x1^2", 1, 1, prec=8)
     b = ps("y1 + x1", 1, 1, prec=8)
@@ -196,8 +195,15 @@ def test_common_monomial_roundtrip():
         beta = common_monomial(s)
         g = divide_monomial(s, beta)
         assert min(total_degree(e) for e in g.terms) >= 0
-        back = mul_monomial(g, beta, precision=s.precision)
+        back = g * monomial(SIG21, *beta, precision=s.precision)
         assert back.eq_mod_precision(s)
+
+
+def test_divide_monomial_errors():
+    with pytest.raises(SeriesError, match="precision must be positive"):
+        divide_monomial(zero(Signature(1, 0), 8), ((Fraction(8),), ()))
+    with pytest.raises(SeriesError, match="not divisible"):
+        divide_monomial(ps("x1", 1, 0), ((Fraction(2),), ()))
 
 
 # -- derivations ---------------------------------------------------------------

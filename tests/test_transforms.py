@@ -121,16 +121,17 @@ def test_ramify_x_oracle():
     assert g.eq_mod_precision(ps("x1", 1, 0))
 
 
-def test_ramify_x_precision_factor():
-    t = RamifyX(1, Fraction(1, 2))
-    assert t.precision_factor() == Fraction(1, 2)
-    assert RamifyX(1, Fraction(3)).precision_factor() == 1
+def test_ramify_x_pullback_precision():
+    f = ps("x1 + x1^3", 1, 0)
+    assert RamifyX(1, Fraction(1, 2)).pullback(f).precision == f.precision / 2
+    assert RamifyX(1, Fraction(3)).pullback(f).precision == f.precision
 
 
-def test_tschirnhausen_precision_factor():
+def test_tschirnhausen_pullback_precision():
+    f = ps("y1 + x1", 1, 1)
     h = ps("x1^(1/2)", 1, 0)
-    assert Tschirnhausen(h).precision_factor() == Fraction(1, 2)
-    assert Tschirnhausen(ps("x1^2", 1, 0)).precision_factor() == 1
+    assert Tschirnhausen(h).pullback(f).precision == f.precision / 2
+    assert Tschirnhausen(ps("x1^2", 1, 0)).pullback(f).precision == f.precision
 
 
 def test_sign_chart_oracle():
