@@ -24,7 +24,7 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .parser import BasicSetExpr
-from .series import Series, Signature, evaluate, render, set_to_zero
+from .series import Series, Signature, _evaluate_rounded, render, set_to_zero
 from .monomialize import EngineOptions, NormalForm, division_chain
 from .transforms import _forward_walk, _inverse_walk, chain_sigs, chain_to_json
 
@@ -207,10 +207,14 @@ def piece_covers(
 
     The numeric preimage misses the quadrant's faces by the truncation tail
     of the chain, so the test clamps the preimage onto the closed quadrant,
-    maps it forward, and accepts on a relative round-trip error."""
+    maps it forward, and accepts on a relative round-trip error.  Every piece
+    lies in {x >= 0}, so a negative reduced x-coordinate is never covered;
+    a piece with no free coordinate covers every point on its hyperplanes."""
     reduced = strip_zeros(piece, ambient_point, ambient_sig)
-    if reduced is None:
+    if reduced is None or any(v < 0 for v in reduced[: piece.sig.m]):
         return False
+    if not reduced:
+        return True
     q = _inverse_walk(piece.chain, piece._sigs, reduced)
     if q is None:
         return False
@@ -224,7 +228,7 @@ def piece_covers(
         else:
             clamped.append(min(fv, 0.0))
     back = _forward_walk(piece.chain, piece._sigs, clamped)
-    scale = max(1e-12, max(abs(float(v)) for v in reduced) if reduced else 0.0)
+    scale = max(1e-12, max(abs(float(v)) for v in reduced))
     err = max(abs(float(a) - float(b)) for a, b in zip(back, reduced))
     return err <= tol * scale
 
@@ -256,8 +260,7 @@ def membership(bset: BasicSetExpr, point: Sequence) -> str:
     for conj in bset.pieces:
         verdict = IN
         for s, rel in conj:
-            ev = evaluate(s, list(point))
-            v, tail = float(ev.value), float(ev.tail_bound)
+            v, tail = _evaluate_rounded(s, list(point))
             if rel == "EQ0":
                 if abs(v) > tail:
                     verdict = OUT

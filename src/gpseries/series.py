@@ -476,9 +476,22 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
     gives.  A fractional x-exponent is evaluated term by term, falling back
     to floats from the first power that is irrational.
 
+    Callers that only read ``float(value)`` (the float point maps and the
+    membership oracle) use ``_evaluate_rounded``: the same integer pass, with
+    ``sum / D`` rounded once, which gives the bits of ``float(Fraction(sum, D))``.
+
     The tail bound is C * ||p||^delta with C the sum of absolute
     coefficients and ||p|| the max-norm of the point.
     """
+    return _evaluate(a, point, rounded=False)
+
+
+def _evaluate_rounded(a: Series, point: Sequence[Rational]) -> Evaluation:
+    """``evaluate`` with the value rounded once to ``float(value)``."""
+    return _evaluate(a, point, rounded=True)
+
+
+def _evaluate(a: Series, point: Sequence[Rational], rounded: bool) -> Evaluation:
     if len(point) != a.sig.m + a.sig.n:
         raise SeriesError(
             f"point of length {len(point)} for signature {a.sig}"
@@ -492,6 +505,8 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
     table = _eval_table(a)
     if table.rows is None:
         total = _evaluate_by_terms(a, [Fraction(n, d) for n, d in ratios])
+        if rounded:
+            total = float(total)
     else:
         den = table.den
         weights = []
@@ -508,8 +523,8 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
             for w, e in zip(weights, es):
                 c *= w[e]
             num += c
-        total = Fraction(num, den)
-    # n / d is float(Fraction(n, d)): both round the exact quotient once
+        # n / d is float(Fraction(n, d)): both round the exact quotient once
+        total = num / den if rounded else Fraction(num, den)
     norm = max((abs(n / d) for n, d in ratios), default=0.0)
     tail = table.csum * norm ** table.fprec if norm > 0 else 0.0
     return Evaluation(total, tail)

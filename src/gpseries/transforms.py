@@ -11,6 +11,13 @@ A pullback's precision comes from the substitution rule
 >= 1 keep f's precision; ``RamifyX`` with gamma < 1 and ``Tschirnhausen``
 with a centre of order < 1 lower it.
 
+The point maps take float, Fraction and int coordinates.  An exact
+coordinate meets the exact chart values.  A float coordinate meets floats,
+and each exact chart value is rounded to a float only once: lam, c_k, gamma
+and 1/gamma keep a float copy, and a Tschirnhausen centre rounds its exact
+value at the point once.  Python evaluates ``Fraction op float`` as
+``float(Fraction) op float``, so the bits are those the exact values give.
+
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
 identity; all other parameters are exact rationals.  In the x-x and y-y
@@ -29,6 +36,7 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar, Optional, Sequence, Union
 
 from .series import (
@@ -37,6 +45,7 @@ from .series import (
     SeriesError,
     Signature,
     SignatureMismatch,
+    _evaluate_rounded,
     _pruned,
     _rational_power,
     _substitution_precision,
@@ -62,6 +71,13 @@ class NeedsRamification(TransformError):
 
 
 Point = list  # numeric point, entries Fraction or float
+
+
+def _constant(v, exact, rounded):
+    """The chart constant (or tuple of them) that meets the coordinate value
+    ``v``: its float copy ``rounded`` when ``v`` is a float, since ``exact op
+    v`` would round it so, else ``exact``."""
+    return rounded if isinstance(v, float) else exact
 
 
 def _expand_shifted_power(lam: Fraction, b: int):
@@ -134,6 +150,11 @@ class _BlowUp(ElementaryTransform):
             return self.j, self.i, Fraction(0)
         return self.i, self.j, self.lam
 
+    @cached_property
+    def _lam_float(self) -> float:
+        """The float of the chart's finite lam (0.0 for x-x and y-y lam = inf)."""
+        return float(self._chart()[2])
+
 
 @dataclass(frozen=True)
 class BlowUpXX(_BlowUp):
@@ -199,8 +220,9 @@ class BlowUpXX(_BlowUp):
             q[i - 1] = p[i - 1] * p[j - 1]
             return q
         m = sig.m
+        y1 = p[m - 1]
         xs = list(p[: m - 1])
-        xs.insert(i - 1, xs[j - 1] * (lam + p[m - 1]))
+        xs.insert(i - 1, xs[j - 1] * (_constant(y1, lam, self._lam_float) + y1))
         return xs + list(p[m:])
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
@@ -212,7 +234,8 @@ class BlowUpXX(_BlowUp):
             q[i - 1] = p[i - 1] / p[j - 1]
             return q
         m = sig.m
-        y1 = p[i - 1] / p[j - 1] - lam
+        ratio = p[i - 1] / p[j - 1]
+        y1 = ratio - _constant(ratio, lam, self._lam_float)
         xs = list(p[:m])
         del xs[i - 1]
         return xs + [y1] + list(p[m:])
@@ -272,8 +295,10 @@ class BlowUpYX(_BlowUp):
             nys = list(p[m + 1 :])
             nys.insert(self.i - 1, sign * xnew)
             return nxs + nys
+        yi = p[m + self.i - 1]
+        lam = _constant(yi, self.lam, self._lam_float)
         q = list(p)
-        q[m + self.i - 1] = p[self.j - 1] * (self.lam + p[m + self.i - 1])
+        q[m + self.i - 1] = p[self.j - 1] * (lam + yi)
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
@@ -294,8 +319,9 @@ class BlowUpYX(_BlowUp):
             return nxs + [xnew] + nys
         if p[self.j - 1] == 0:
             return None
+        ratio = p[m + self.i - 1] / p[self.j - 1]
         q = list(p)
-        q[m + self.i - 1] = p[m + self.i - 1] / p[self.j - 1] - self.lam
+        q[m + self.i - 1] = ratio - _constant(ratio, self.lam, self._lam_float)
         return q
 
 
@@ -334,8 +360,9 @@ class BlowUpYY(_BlowUp):
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         i, j, lam = self._chart()
         m = sig.m
+        yi = p[m + i - 1]
         q = list(p)
-        q[m + i - 1] = p[m + j - 1] * (lam + p[m + i - 1])
+        q[m + i - 1] = p[m + j - 1] * (_constant(yi, lam, self._lam_float) + yi)
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
@@ -343,8 +370,9 @@ class BlowUpYY(_BlowUp):
         m = sig.m
         if p[m + j - 1] == 0:
             return None
+        ratio = p[m + i - 1] / p[m + j - 1]
         q = list(p)
-        q[m + i - 1] = p[m + i - 1] / p[m + j - 1] - lam
+        q[m + i - 1] = ratio - _constant(ratio, lam, self._lam_float)
         return q
 
 
@@ -384,22 +412,24 @@ class Tschirnhausen(ElementaryTransform):
         # substitute_y requires zero constant term; rep = y_j + h qualifies
         return substitute_y(f, {j: rep})
 
+    def _center(self, p: Sequence, sig: Signature) -> tuple[int, Rational]:
+        """Position ``k`` of y_j in ``p`` and h at the other coordinates,
+        rounded once to a float when ``p[k]`` is one."""
+        k = sig.m + self._index(sig) - 1
+        args = list(p[:k]) + list(p[k + 1 :])
+        value_at = _evaluate_rounded if isinstance(p[k], float) else evaluate
+        return k, value_at(self.h, args).value
+
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        m, n = sig
-        j = self._index(sig)
-        args = list(p[: m + j - 1]) + list(p[m + j :])
-        hval = evaluate(self.h, args).value
+        k, hval = self._center(p, sig)
         q = list(p)
-        q[m + j - 1] = p[m + j - 1] + hval
+        q[k] = p[k] + hval
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        m, n = sig
-        j = self._index(sig)
-        args = list(p[: m + j - 1]) + list(p[m + j :])
-        hval = evaluate(self.h, args).value
+        k, hval = self._center(p, sig)
         q = list(p)
-        q[m + j - 1] = p[m + j - 1] - hval
+        q[k] = p[k] - hval
         return q
 
     def to_json(self) -> dict:
@@ -445,18 +475,24 @@ class Linear(ElementaryTransform):
             return f
         return substitute_y(f, reps)
 
+    @cached_property
+    def _c_float(self) -> tuple:
+        return tuple(map(float, self.c))
+
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m = sig.m
+        yi = p[m + self.i - 1]
         q = list(p)
-        for k, ck in enumerate(self.c, start=1):
-            q[m + k - 1] = p[m + k - 1] + ck * p[m + self.i - 1]
+        for k, ck in enumerate(_constant(yi, self.c, self._c_float), start=1):
+            q[m + k - 1] = p[m + k - 1] + ck * yi
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         m = sig.m
+        yi = p[m + self.i - 1]
         q = list(p)
-        for k, ck in enumerate(self.c, start=1):
-            q[m + k - 1] = p[m + k - 1] - ck * p[m + self.i - 1]
+        for k, ck in enumerate(_constant(yi, self.c, self._c_float), start=1):
+            q[m + k - 1] = p[m + k - 1] - ck * yi
         return q
 
 
@@ -487,27 +523,35 @@ class RamifyX(ElementaryTransform):
             terms[(tuple(nxs), ys)] = c
         return _pruned(f.sig, terms, prec)
 
+    @cached_property
+    def _exponents(self) -> tuple:
+        """``(e, float(e))`` for the forward exponent gamma and the inverse 1/gamma."""
+        inverse = 1 / self.gamma
+        return (self.gamma, float(self.gamma)), (inverse, float(inverse))
+
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         q = list(p)
-        q[self.i - 1] = _power_numeric(p[self.i - 1], self.gamma)
+        q[self.i - 1] = _power_numeric(p[self.i - 1], *self._exponents[0])
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         if p[self.i - 1] < 0:
             return None
         q = list(p)
-        q[self.i - 1] = _power_numeric(p[self.i - 1], Fraction(1) / self.gamma)
+        q[self.i - 1] = _power_numeric(p[self.i - 1], *self._exponents[1])
         return q
 
 
-def _power_numeric(v, e: Fraction):
+def _power_numeric(v, e: Fraction, e_float: float):
+    """v^e: exact for a positive ``Fraction`` with a rational power, else the
+    float power with ``e_float = float(e)``."""
     if v == 0:
         return Fraction(0) if e > 0 else None
     if isinstance(v, Fraction) and v > 0:
         p = _rational_power(v, e)
         if p is not None:
             return p
-    return float(v) ** float(e)
+    return float(v) ** e_float
 
 
 @dataclass(frozen=True)

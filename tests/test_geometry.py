@@ -154,6 +154,31 @@ def test_hyperplane_pieces_cover_boundary():
     assert frac >= 0.99
 
 
+@pytest.mark.parametrize(
+    "text, sig",
+    [("x1 = 0", Signature(1, 0)), ("y1 = 0 & x1 = 0", SIG11)],
+    ids=["x-axis-point", "origin"],
+)
+def test_piece_without_free_coordinates_covers_its_point(text, sig):
+    # every coordinate of the piece is frozen: its reduced point is empty
+    param = parametrize_basic(bset(text, *sig))
+    point = [1e-12] * (sig.m + sig.n)
+    assert covering_fraction_for(param, [point], sig) == 1.0
+    assert covering_fraction_for(param, [[0.5] * (sig.m + sig.n)], sig) == 0.0
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0", "y1^2 - x1^3 = 0 & x1 > 0"],
+    ids=["cone", "cusp"],
+)
+def test_negative_x_is_never_covered(text):
+    # every piece lies in {x >= 0}; no piece may map such a point back
+    param = parametrize_basic(bset(text))
+    for point in ([-0.01, 0.01], [-0.01, -0.01], [-1e-6, 0.5]):
+        assert not any(piece_covers(p, point, SIG11) for p in param.pieces)
+
+
 def test_piece_json_shape():
     b = bset("y1^2 - x1^3 = 0 & x1 > 0")
     param = parametrize_basic(b)

@@ -16,6 +16,7 @@ from gpseries.series import (
     constant,
     divide_monomial,
     evaluate,
+    _evaluate_rounded,
     insert_y,
     invert_unit,
     min_support,
@@ -397,6 +398,11 @@ def test_evaluate_matches_fraction_sum(data):
         assert type(ev.value) is type(value)
         assert ev.value == value
         assert ev.tail_bound == tail
+    # the float point maps and membership read the value rounded once
+    rounded = _evaluate_rounded(a, point)
+    assert type(rounded.value) is float
+    assert repr(rounded.value) == repr(float(value))
+    assert rounded.tail_bound == tail
 
 
 def test_evaluate_is_exact_when_irrational_powers_vanish():

@@ -1,6 +1,7 @@
 """Elementary coordinate transforms: pullback oracles, point maps, JSON."""
 
 from fractions import Fraction
+import hashlib
 import json
 import random
 
@@ -217,6 +218,53 @@ def test_infinity_chart_is_the_swapped_zero_chart(t, sig):
         assert t.inverse_point(p, sig) == swapped.inverse_point(p, sig)
     kind = swapped.to_json()["kind"]
     assert t.to_json() == {"kind": kind, "i": t.i, "j": t.j, "lam": "inf"}
+
+
+def _map_points(rng, sig):
+    """Float, Fraction, int and mixed points over ``sig``: x >= 0, y of either
+    sign; a mixed point is a float point with one entry set to ``Fraction(0)``,
+    ``0`` or ``-0.0``."""
+    dim = sig.m + sig.n
+    floats = [_sample(rng, sig) for _ in range(6)]
+    fracs = [
+        [Fraction(rng.randint(0 if k < sig.m else -9, 9), 7) for k in range(dim)]
+        for _ in range(4)
+    ]
+    ints = [[rng.randint(0 if k < sig.m else -2, 2) for k in range(dim)] for _ in range(3)]
+    mixed = [
+        p[:k] + [zero] + p[k + 1 :]
+        for p in floats[:2]
+        for k in range(dim)
+        for zero in (Fraction(0), 0, -0.0)
+    ]
+    return floats + fracs + ints + mixed
+
+
+# recorded on the point maps that combined float coordinates with the exact
+# chart constants through Fraction's operators
+PINNED_POINT_MAP_SHA256 = "2b7f1fb4e843cb4fb034330242bc1b3569a188bf9deca425033f65f25b201199"
+
+
+def test_point_map_bits_are_pinned():
+    # a float coordinate must meet the float value of each exact chart
+    # constant, and an exact coordinate the exact one: same types, same bits
+    variants = _variants() + [
+        (Tschirnhausen(ps("x1*y1 - 2/3*y1^2", 1, 1)), Signature(1, 2)),
+        (Tschirnhausen(ps("x1^(1/2) + 1/3*x1", 1, 0)), SIG11),
+    ]
+    rng = random.Random(2024)
+    lines = []
+    for t, up_sig in variants:
+        for name, sig, apply in (
+            ("forward", t.result_sig(up_sig), t.forward_point_sig),
+            ("inverse", up_sig, t.inverse_point),
+        ):
+            for p in _map_points(rng, sig):
+                q = apply(p, up_sig)
+                out = None if q is None else [(type(v).__name__, v) for v in q]
+                lines.append(repr((t.describe(), name, p, out)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_POINT_MAP_SHA256
 
 
 def test_forward_inverse_roundtrip():
