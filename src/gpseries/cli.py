@@ -46,18 +46,24 @@ class ConfigError(ValueError):
 
 
 # One row per option that a config file or a flag may set: config key,
-# default text, argparse attribute, and the parser of the merged text.  The
-# palette has no parser here: it is read once the numeric options are checked.
+# default text, argparse attribute, the parser of the merged text, and the
+# flag's help (its default is appended).  The engine's options give their own
+# defaults.  The palette has no parser here: it is read once the numeric
+# options are checked.
+_ENGINE = EngineOptions()
 _OPTIONS = (
-    ("precision", "8", "precision", Fraction),
-    ("lambda", None, "lam", None),
-    ("max-depth", "64", "max_depth", int),
-    ("princ-cap", "200", "princ_cap", int),
-    ("samples", "100", "samples", int),
-    ("seed", "0", "seed", int),
-    ("threads", "1", "threads", int),
+    ("precision", "8", "precision", Fraction, "truncation order (rational)"),
+    ("lambda", ",".join(map(str, _ENGINE.palette.positive)), "lam", None,
+     "comma-separated positive chart parameters"),
+    ("max-depth", str(_ENGINE.max_depth), "max_depth", int, "tree depth cap"),
+    ("princ-cap", str(_ENGINE.princ_cap), "princ_cap", int,
+     "principalization step cap"),
+    ("samples", "100", "samples", int, "sample count (parametrize)"),
+    ("seed", "0", "seed", int, "sampling seed"),
+    ("threads", "1", "threads", int,
+     "parallelism hint; accepted for compatibility, output is identical for any value"),
 )
-_CONFIG_KEYS = {key for key, _, _, _ in _OPTIONS}
+_CONFIG_KEYS = {row[0] for row in _OPTIONS}
 
 
 def read_config(path: str) -> dict:
@@ -99,35 +105,23 @@ def build_argparser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("input", help="input file, or '-' for stdin")
         p.add_argument("--config", help="key=value option file (flags override)")
-        p.add_argument("--precision", help="truncation order (rational, default 8)")
-        p.add_argument(
-            "--lambda",
-            dest="lam",
-            help="comma-separated positive chart parameters (default 1/2,1,2)",
-        )
-        p.add_argument("--max-depth", help="tree depth cap (default 64)")
-        p.add_argument("--princ-cap", help="principalization step cap (default 200)")
-        p.add_argument("--samples", help="sample count (parametrize)")
-        p.add_argument("--seed", help="sampling seed (default 0)")
+        for key, default, attr, _, helptext in _OPTIONS:
+            helptext = f"{helptext} (default {default})"
+            p.add_argument(f"--{key}", dest=attr, help=helptext)
         p.add_argument("--json", action="store_true", help="emit JSON")
-        p.add_argument(
-            "--threads",
-            help="parallelism hint; accepted for compatibility, output "
-            "is identical for any value",
-        )
     return ap
 
 
 def _merge_options(args) -> dict:
-    merged = {key: default for key, default, _, _ in _OPTIONS}
+    merged = {key: default for key, default, _, _, _ in _OPTIONS}
     if args.config:
         merged.update(read_config(args.config))
-    for key, _, attr, _ in _OPTIONS:
+    for key, _, attr, _, _ in _OPTIONS:
         v = getattr(args, attr, None)
         if v is not None:
             merged[key] = v
     try:
-        for key, _, _, parse in _OPTIONS:
+        for key, _, _, parse, _ in _OPTIONS:
             if parse is not None:
                 merged[key] = parse(merged[key])
     except (ValueError, ZeroDivisionError) as exc:
@@ -139,22 +133,19 @@ def _merge_options(args) -> dict:
     for key in ("max-depth", "princ-cap", "samples"):
         if merged[key] < 0:
             raise ConfigError(f"{key} must be >= 0")
-    if merged["lambda"] is not None:
-        try:
-            merged["lambda"] = palette_from_spec(merged["lambda"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(str(exc)) from exc
+    try:
+        merged["lambda"] = palette_from_spec(merged["lambda"])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(str(exc)) from exc
     return merged
 
 
 def _engine_options(merged) -> EngineOptions:
-    kwargs = {
-        "max_depth": merged["max-depth"],
-        "princ_cap": merged["princ-cap"],
-    }
-    if merged["lambda"] is not None:
-        kwargs["palette"] = merged["lambda"]
-    return EngineOptions(**kwargs)
+    return EngineOptions(
+        palette=merged["lambda"],
+        max_depth=merged["max-depth"],
+        princ_cap=merged["princ-cap"],
+    )
 
 
 def _read_input(path: str) -> str:

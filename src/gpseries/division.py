@@ -117,7 +117,7 @@ def _subst_last_y(g: Series, a: Series) -> Series:
     return set_to_zero(composed, zero_y=(n,))
 
 
-def solve_implicit(g: Series, max_iter: Optional[int] = None) -> Series:
+def solve_implicit(g: Series) -> Series:
     """The unique series a with a(0) = 0 and g(x, y', a(x, y')) = 0, for g
     with g(0) = 0 and an invertible first-order coefficient in the last
     y-variable.  Newton iteration; convergence is quadratic, so the step
@@ -133,8 +133,7 @@ def solve_implicit(g: Series, max_iter: Optional[int] = None) -> Series:
     dg = partial_y(g, g.sig.n)
     sig_out = Signature(g.sig.m, g.sig.n - 1)
     a = zero(sig_out, g.precision)
-    if max_iter is None:
-        max_iter = max(6, int(math.ceil(math.log2(max(2.0, float(g.precision))))) + 3)
+    max_iter = max(6, int(math.ceil(math.log2(max(2.0, float(g.precision))))) + 3)
     for _ in range(max_iter):
         val = _subst_last_y(g, a)
         if val.is_zero():

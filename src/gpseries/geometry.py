@@ -95,6 +95,14 @@ class ParamPiece:
         piece maps."""
         return chain_sigs(self.chain, self.sig)
 
+    @cached_property
+    def _frozen(self) -> tuple:
+        """0-based ambient positions of the frozen coordinates, ascending."""
+        m = self.sig.m + len(self.zero_x)
+        return tuple(sorted(z - 1 for z in self.zero_x)) + tuple(
+            sorted(m + z - 1 for z in self.zero_y)
+        )
+
 
 @dataclass
 class Parametrization:
@@ -162,23 +170,17 @@ def _param_leafwork(bset, zero_x, zero_y, options, out) -> None:
 # -- numeric helpers over pieces ----------------------------------------------
 
 
-def _frozen_positions(piece: ParamPiece, m: int) -> list:
-    """0-based ambient positions of the piece's frozen coordinates, ascending;
-    ``m`` is the number of ambient x-variables."""
-    return [z - 1 for z in sorted(piece.zero_x)] + [m + z - 1 for z in sorted(piece.zero_y)]
-
-
 def embed_zeros(piece: ParamPiece, reduced_point: Sequence[float]):
     point = list(reduced_point)
-    for k in _frozen_positions(piece, piece.sig.m + len(piece.zero_x)):
+    for k in piece._frozen:
         point.insert(k, 0.0)
     return point
 
 
-def strip_zeros(piece: ParamPiece, ambient_point: Sequence[float], ambient_sig: Signature):
+def strip_zeros(piece: ParamPiece, ambient_point: Sequence[float]):
     """Project an ambient point onto the piece's reduced space, or None when
     the point is not (numerically) on the frozen hyperplanes."""
-    frozen = _frozen_positions(piece, ambient_sig.m)
+    frozen = piece._frozen
     if any(abs(ambient_point[k]) > 1e-9 for k in frozen):
         return None
     return [v for k, v in enumerate(ambient_point) if k not in frozen]
@@ -209,8 +211,9 @@ def piece_covers(
     of the chain, so the test clamps the preimage onto the closed quadrant,
     maps it forward, and accepts on a relative round-trip error.  Every piece
     lies in {x >= 0}, so a negative reduced x-coordinate is never covered;
-    a piece with no free coordinate covers every point on its hyperplanes."""
-    reduced = strip_zeros(piece, ambient_point, ambient_sig)
+    a piece with no free coordinate covers every point on its hyperplanes.
+    ``ambient_sig`` is not read: a piece knows its frozen positions."""
+    reduced = strip_zeros(piece, ambient_point)
     if reduced is None or any(v < 0 for v in reduced[: piece.sig.m]):
         return False
     if not reduced:

@@ -165,10 +165,7 @@ class _Parser:
             nxt = self.peek()
             if nxt is not None and nxt.text == "/":
                 self.next()
-                den = self.next()
-                if den.kind != "num":
-                    raise ParseError("expected denominator", den.pos)
-                return constant(self.sig, Fraction(num, int(den.text)), self.precision)
+                return constant(self.sig, Fraction(num, self.denominator()), self.precision)
             return constant(self.sig, num, self.precision)
         if tok.kind == "name":
             return self.variable(tok)
@@ -205,12 +202,18 @@ class _Parser:
             if num.kind != "num":
                 raise ParseError("expected integer", num.pos)
             self.expect("/")
-            den = self.next()
-            if den.kind != "num":
-                raise ParseError("expected denominator", den.pos)
+            den = self.denominator()
             self.expect(")")
-            return Fraction(sign * int(num.text), int(den.text)), tok.pos
+            return Fraction(sign * int(num.text), den), tok.pos
         raise ParseError("expected exponent", tok.pos)
+
+    def denominator(self) -> int:
+        den = self.next()
+        if den.kind != "num":
+            raise ParseError("expected denominator", den.pos)
+        if int(den.text) == 0:
+            raise ParseError("zero denominator", den.pos)
+        return int(den.text)
 
     # -- basic sets ---------------------------------------------------------
 

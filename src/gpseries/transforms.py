@@ -20,9 +20,10 @@ value at the point once.  Python evaluates ``Fraction op float`` as
 
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
-identity; all other parameters are exact rationals.  In the x-x and y-y
-blow-ups lam = inf is the lam = 0 chart with i and j swapped; the y-x charts
-at lam = +-inf add an x-variable.
+identity; all other parameters are exact rationals.  The three blow-up
+families share one formula, ``src <- tgt * (lam + v)``, for every finite
+chart (``_BlowUp``).  In the x-x and y-y blow-ups lam = inf is the lam = 0
+chart with i and j swapped; the y-x charts at lam = +-inf add an x-variable.
 
 JSON: ``{"kind": KIND}`` plus every dataclass field, Fractions as strings,
 tuples as lists of strings, ints and infinities as they are; it is read back
@@ -80,11 +81,6 @@ def _constant(v, exact, rounded):
     return rounded if isinstance(v, float) else exact
 
 
-def _expand_shifted_power(lam: Fraction, b: int):
-    """Coefficients of (lam + V)^b as a list indexed by the power of V."""
-    return [math.comb(b, k) * lam ** (b - k) for k in range(b + 1)]
-
-
 @dataclass(frozen=True)
 class ElementaryTransform:
     """Base class.  Concrete variants implement ``validate``, ``pullback``,
@@ -130,7 +126,17 @@ class ElementaryTransform:
 
 @dataclass(frozen=True)
 class _BlowUp(ElementaryTransform):
-    """Fields of the three blow-up families; lam is a Fraction, INF or NEG_INF."""
+    """Fields of the three blow-up families; lam is a Fraction, INF or NEG_INF.
+
+    Every finite chart is ``src <- tgt * (lam + v)``.  ``s``, ``t`` and ``v``
+    are flat positions in x1..xm, y1..yn: ``s`` and ``t`` upstream, ``v``
+    downstream.  ``v == s`` except in the x-x chart at lam > 0, whose chart
+    variable is a new first y-variable.  An x-x or y-y chart at lam = inf is
+    the lam = 0 chart with i and j swapped (``_chart``).  Two charts keep
+    their own code: the x-x zero chart's forward map ``x_i * x_j`` keeps int
+    points int and -0.0 signed, and the y-x charts at lam = +-inf append an
+    x-variable instead.
+    """
 
     i: int
     j: int
@@ -154,6 +160,56 @@ class _BlowUp(ElementaryTransform):
     def _lam_float(self) -> float:
         """The float of the chart's finite lam (0.0 for x-x and y-y lam = inf)."""
         return float(self._chart()[2])
+
+    def _pull(self, f: Series, s: int, t: int, v: int, lam: Fraction) -> Series:
+        """f o (src <- tgt * (lam + v)), at f's precision."""
+        sig2 = self.result_sig(f.sig)
+        m2 = sig2.m
+        terms = {}
+        if lam == 0:  # one image per term
+            for (xs, ys), c in f.terms.items():
+                e = [*xs, *ys]
+                e[t] += e[s]
+                terms[(tuple(e[:m2]), tuple(e[m2:]))] = c
+            return _pruned(sig2, terms, f.precision)
+        powers = {}  # b -> coefficients of (lam + v)^b by the power of v
+        for (xs, ys), c in f.terms.items():
+            e = [*xs, *ys]
+            b = e[s]
+            if b.denominator != 1:  # only an x-x source can be fractional
+                raise NeedsRamification(
+                    f"x{s + 1}-exponent {b} is fractional; ramify before the lambda chart"
+                )
+            b = int(b)
+            e[t] += b
+            if v != s:  # x-x at lam > 0: x_i becomes y_1'
+                e.insert(v, e.pop(s))
+            nxs, nys = tuple(e[:m2]), e[m2:]  # v is a y-position
+            if b not in powers:
+                powers[b] = [math.comb(b, k) * lam ** (b - k) for k in range(b + 1)]
+            for k, coeff in enumerate(powers[b]):
+                nys[v - m2] = k
+                key = (nxs, tuple(nys))
+                terms[key] = terms.get(key, Fraction(0)) + c * coeff
+        return _pruned(sig2, terms, f.precision)
+
+    def _forward(self, p: Sequence, s: int, t: int, v: int, lam: Fraction) -> Point:
+        w = p[v]
+        q = list(p)
+        if v != s:  # x-x at lam > 0: y_1' becomes x_i
+            q.insert(s, q.pop(v))
+        q[s] = p[t] * (_constant(w, lam, self._lam_float) + w)
+        return q
+
+    def _inverse(self, p: Sequence, s: int, t: int, v: int, lam: Fraction):
+        if p[t] == 0:
+            return None
+        ratio = p[s] / p[t]
+        q = list(p)
+        if v != s:  # x-x at lam > 0: x_i becomes y_1'
+            q.insert(v, q.pop(s))
+        q[v] = ratio - _constant(ratio, lam, self._lam_float)
+        return q
 
 
 @dataclass(frozen=True)
@@ -188,57 +244,19 @@ class BlowUpXX(_BlowUp):
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
         i, j, lam = self._chart()
-        if lam == 0:
-            terms = {}
-            for (xs, ys), c in f.terms.items():
-                nxs = list(xs)
-                nxs[j - 1] += xs[i - 1]
-                key = (tuple(nxs), ys)
-                terms[key] = terms.get(key, Fraction(0)) + c
-            return _pruned(f.sig, terms, f.precision)
-        # finite positive lambda
-        sig2 = self.result_sig(f.sig)
-        terms = {}
-        for (xs, ys), c in f.terms.items():
-            a = xs[i - 1]
-            if a.denominator != 1:
-                raise NeedsRamification(
-                    f"x{i}-exponent {a} is fractional; ramify before the lambda chart"
-                )
-            a = int(a)
-            base = list(xs[: i - 1] + xs[i:])
-            base[j - 1] += a
-            for k, coeff in enumerate(_expand_shifted_power(lam, a)):
-                key = (tuple(base), (k,) + ys)
-                terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return _pruned(sig2, terms, f.precision)
+        return self._pull(f, i - 1, j - 1, f.sig.m - 1 if lam else i - 1, lam)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         i, j, lam = self._chart()
-        if lam == 0:
-            q = list(p)
-            q[i - 1] = p[i - 1] * p[j - 1]
-            return q
-        m = sig.m
-        y1 = p[m - 1]
-        xs = list(p[: m - 1])
-        xs.insert(i - 1, xs[j - 1] * (_constant(y1, lam, self._lam_float) + y1))
-        return xs + list(p[m:])
+        if lam:
+            return self._forward(p, i - 1, j - 1, sig.m - 1, lam)
+        q = list(p)
+        q[i - 1] = p[i - 1] * p[j - 1]
+        return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         i, j, lam = self._chart()
-        if p[j - 1] == 0:
-            return None
-        if lam == 0:
-            q = list(p)
-            q[i - 1] = p[i - 1] / p[j - 1]
-            return q
-        m = sig.m
-        ratio = p[i - 1] / p[j - 1]
-        y1 = ratio - _constant(ratio, lam, self._lam_float)
-        xs = list(p[:m])
-        del xs[i - 1]
-        return xs + [y1] + list(p[m:])
+        return self._inverse(p, i - 1, j - 1, sig.m - 1 if lam else i - 1, lam)
 
 
 @dataclass(frozen=True)
@@ -274,16 +292,8 @@ class BlowUpYX(_BlowUp):
                 key = (nxs, nys)
                 terms[key] = terms.get(key, Fraction(0)) + c * (sign**b)
             return _pruned(sig2, terms, f.precision)
-        terms = {}
-        for (xs, ys), c in f.terms.items():
-            b = ys[self.i - 1]
-            nxs = list(xs)
-            nxs[self.j - 1] += b
-            for k, coeff in enumerate(_expand_shifted_power(self.lam, b)):
-                nys = ys[: self.i - 1] + (k,) + ys[self.i :]
-                key = (tuple(nxs), nys)
-                terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return _pruned(f.sig, terms, f.precision)
+        s = f.sig.m + self.i - 1
+        return self._pull(f, s, self.j - 1, s, self.lam)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m, n = sig
@@ -295,11 +305,8 @@ class BlowUpYX(_BlowUp):
             nys = list(p[m + 1 :])
             nys.insert(self.i - 1, sign * xnew)
             return nxs + nys
-        yi = p[m + self.i - 1]
-        lam = _constant(yi, self.lam, self._lam_float)
-        q = list(p)
-        q[m + self.i - 1] = p[self.j - 1] * (lam + yi)
-        return q
+        s = m + self.i - 1
+        return self._forward(p, s, self.j - 1, s, self.lam)
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         m, n = sig
@@ -317,12 +324,8 @@ class BlowUpYX(_BlowUp):
             nys = list(p[m:])
             del nys[self.i - 1]
             return nxs + [xnew] + nys
-        if p[self.j - 1] == 0:
-            return None
-        ratio = p[m + self.i - 1] / p[self.j - 1]
-        q = list(p)
-        q[m + self.i - 1] = ratio - _constant(ratio, self.lam, self._lam_float)
-        return q
+        s = m + self.i - 1
+        return self._inverse(p, s, self.j - 1, s, self.lam)
 
 
 @dataclass(frozen=True)
@@ -345,35 +348,16 @@ class BlowUpYY(_BlowUp):
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
         i, j, lam = self._chart()
-        terms = {}
-        for (xs, ys), c in f.terms.items():
-            b = ys[i - 1]
-            base = list(ys)
-            base[j - 1] += b
-            for k, coeff in enumerate(_expand_shifted_power(lam, b)):
-                nys = list(base)
-                nys[i - 1] = k
-                key = (xs, tuple(nys))
-                terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return _pruned(f.sig, terms, f.precision)
+        m = f.sig.m
+        return self._pull(f, m + i - 1, m + j - 1, m + i - 1, lam)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         i, j, lam = self._chart()
-        m = sig.m
-        yi = p[m + i - 1]
-        q = list(p)
-        q[m + i - 1] = p[m + j - 1] * (_constant(yi, lam, self._lam_float) + yi)
-        return q
+        return self._forward(p, sig.m + i - 1, sig.m + j - 1, sig.m + i - 1, lam)
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         i, j, lam = self._chart()
-        m = sig.m
-        if p[m + j - 1] == 0:
-            return None
-        ratio = p[m + i - 1] / p[m + j - 1]
-        q = list(p)
-        q[m + i - 1] = ratio - _constant(ratio, lam, self._lam_float)
-        return q
+        return self._inverse(p, sig.m + i - 1, sig.m + j - 1, sig.m + i - 1, lam)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from gpseries.cli import ConfigError, main, read_config
+from gpseries.monomialize import PrecisionExhausted
 
 
 def write(tmp_path, name, text):
@@ -63,6 +64,24 @@ def test_bad_config_exits_one(tmp_path, capsys):
 def test_depth_cap_exits_three(tmp_path, capsys):
     path = write(tmp_path, "in.txt", "vars x:1 y:1\ny1^2 - x1^3;\n")
     assert main(["monomialize", path, "--max-depth", "0"]) == 3
+
+
+@pytest.mark.parametrize("statement", ["1/0", "x1^(1/0)"])
+@pytest.mark.parametrize("command", ["monomialize", "divide", "parametrize"])
+def test_zero_denominator_exits_one(tmp_path, capsys, command, statement):
+    path = write(tmp_path, "in.txt", f"vars x:1 y:1\n{statement};\n")
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err.startswith("error: at position")
+
+
+def test_precision_exhausted_exits_two(tmp_path, capsys, monkeypatch):
+    def exhausted(f, options):
+        raise PrecisionExhausted("branch 0: order 8 reached")
+
+    monkeypatch.setattr("gpseries.cli.monomialize", exhausted)
+    path = write(tmp_path, "in.txt", "vars x:1 y:1\ny1^2 - x1^3;\n")
+    assert main(["monomialize", path]) == 2
+    assert capsys.readouterr().err == "precision exhausted: branch 0: order 8 reached\n"
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

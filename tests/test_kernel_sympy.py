@@ -247,8 +247,11 @@ gammas = st.sampled_from([Fraction(1, 2), Fraction(2, 3), Fraction(2), Fraction(
 signs = st.sampled_from([1, -1])
 
 
+xx_lams = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2), INF])
+
+
 def _blowup_xx(draw, sig, _):
-    lam = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(2), INF]))
+    lam = draw(xx_lams)
     i = draw(st.integers(1, sig.m))
     j = draw(st.integers(1, sig.m).filter(lambda v: v != i))
     if isinstance(lam, Fraction) and lam > 0:
@@ -275,6 +278,12 @@ TRANSFORMS = {
         draw(st.one_of(lams, st.sampled_from([INF, NEG_INF]))))),
     "BlowUpYY": ([Signature(1, 2)], lambda draw, sig, _: BlowUpYY(
         *draw(st.permutations([1, 2])), draw(st.one_of(lams, st.just(INF))))),
+    # source, target and chart variable not adjacent: x3 over (3,1), and
+    # any ordered pair of y's over (1,3)
+    "BlowUpXX-wide": ([Signature(3, 1)], lambda draw, sig, _: BlowUpXX(
+        3, draw(st.integers(1, 2)), draw(xx_lams))),
+    "BlowUpYY-wide": ([Signature(1, 3)], lambda draw, sig, _: BlowUpYY(
+        *draw(st.permutations([1, 2, 3]))[:2], draw(st.one_of(lams, st.just(INF))))),
     "Tschirnhausen": (SIGS, _tschirnhausen),
     "Linear": ([Signature(1, 2)], _linear),
     "RamifyX": (SIGS, lambda draw, sig, _: RamifyX(

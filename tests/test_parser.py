@@ -92,6 +92,16 @@ def test_error_carries_position():
     assert exc.value.pos == 4
 
 
+@pytest.mark.parametrize("text, pos", [("1/0", 2), ("x1^(1/0)", 6), ("y1 + 2/00", 7)])
+def test_zero_denominator_is_a_parse_error(text, pos):
+    with pytest.raises(ParseError, match="zero denominator") as exc:
+        parse_series(text, SIG11, 8)
+    assert exc.value.pos == pos
+    with pytest.raises(ParseError, match="zero denominator") as exc:
+        parse_basic_set(f"{text} > 0 | x1 > 0", SIG11, 8)
+    assert exc.value.pos == pos
+
+
 def test_basic_set_single_conjunction():
     b = parse_basic_set("y1^2 - x1^2 = 0 & x1 > 0", SIG11, 8)
     assert b.sig == SIG11

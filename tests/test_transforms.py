@@ -245,14 +245,10 @@ def _map_points(rng, sig):
 PINNED_POINT_MAP_SHA256 = "2b7f1fb4e843cb4fb034330242bc1b3569a188bf9deca425033f65f25b201199"
 
 
-def test_point_map_bits_are_pinned():
-    # a float coordinate must meet the float value of each exact chart
-    # constant, and an exact coordinate the exact one: same types, same bits
-    variants = _variants() + [
-        (Tschirnhausen(ps("x1*y1 - 2/3*y1^2", 1, 1)), Signature(1, 2)),
-        (Tschirnhausen(ps("x1^(1/2) + 1/3*x1", 1, 0)), SIG11),
-    ]
-    rng = random.Random(2024)
+def _point_map_digest(variants, seed):
+    """sha256 over the type names and reprs of every forward and inverse
+    image of ``_map_points`` under each ``(transform, upstream sig)``."""
+    rng = random.Random(seed)
     lines = []
     for t, up_sig in variants:
         for name, sig, apply in (
@@ -263,8 +259,40 @@ def test_point_map_bits_are_pinned():
                 q = apply(p, up_sig)
                 out = None if q is None else [(type(v).__name__, v) for v in q]
                 lines.append(repr((t.describe(), name, p, out)))
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == PINNED_POINT_MAP_SHA256
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def test_point_map_bits_are_pinned():
+    # a float coordinate must meet the float value of each exact chart
+    # constant, and an exact coordinate the exact one: same types, same bits
+    variants = _variants() + [
+        (Tschirnhausen(ps("x1*y1 - 2/3*y1^2", 1, 1)), Signature(1, 2)),
+        (Tschirnhausen(ps("x1^(1/2) + 1/3*x1", 1, 0)), SIG11),
+    ]
+    assert _point_map_digest(variants, 2024) == PINNED_POINT_MAP_SHA256
+
+
+# recorded like PINNED_POINT_MAP_SHA256, on blow-up charts whose source,
+# target and chart variable are not neighbours, at every kind of lam
+PINNED_WIDE_POINT_MAP_SHA256 = "496b380610b3d5084d54bd0b068e804decd10ef2e294aa5a25c660be7226a604"
+
+
+def test_wide_blowup_point_map_bits_are_pinned():
+    sig31, sig13, sig22 = Signature(3, 1), Signature(1, 3), Signature(2, 2)
+    variants = [
+        (BlowUpXX(3, 1, 0), sig31),
+        (BlowUpXX(1, 3, 0), sig31),
+        (BlowUpXX(3, 1, Fraction(3, 2)), sig31),
+        (BlowUpXX(3, 2, Fraction(1, 3)), sig31),
+        (BlowUpXX(3, 1, INF), sig31),
+        (BlowUpYY(3, 1, 0), sig13),
+        (BlowUpYY(1, 3, Fraction(-1, 3)), sig13),
+        (BlowUpYY(3, 2, Fraction(2)), sig13),
+        (BlowUpYY(2, 3, INF), sig13),
+        (BlowUpYX(2, 1, 0), sig22),
+        (BlowUpYX(1, 2, Fraction(-3, 7)), sig22),
+    ]
+    assert _point_map_digest(variants, 2025) == PINNED_WIDE_POINT_MAP_SHA256
 
 
 def test_forward_inverse_roundtrip():
