@@ -132,9 +132,9 @@ def _set_all_x_zero(g: Series) -> Series:
     )
 
 
-def _coord_get(exp: Exponent, coord) -> Fraction:
+def _coord_get(exp: Exponent, coord) -> int | Fraction:
     axis, idx = coord
-    return Fraction(exp[0][idx - 1]) if axis == "x" else Fraction(exp[1][idx - 1])
+    return exp[0][idx - 1] if axis == "x" else exp[1][idx - 1]
 
 
 def _coords(sig: Signature):
@@ -538,7 +538,7 @@ class _Engine:
             forms[i] = nf
         mus = {
             i: (
-                tuple(v / i for v in nf.monomial[0]),
+                tuple(Fraction(v, i) for v in nf.monomial[0]),
                 tuple(Fraction(v, i) for v in nf.monomial[1]),
             )
             for i, nf in forms.items()
@@ -665,6 +665,15 @@ def _product(factors: Sequence[Series]) -> Series:
 # -- public entry points ------------------------------------------------------
 
 
+def _chains_json(chains: Sequence[list]) -> list[list]:
+    """``chain_to_json`` of each chain of one tree.  The chains hold each
+    edge's transform object, so each edge is serialised once, and its dict is
+    shared by every chain through it."""
+    edges = {id(t): t for chain in chains for t in chain}  # the objects hold their ids
+    edges = {key: t.to_json() for key, t in edges.items()}
+    return [[edges[id(t)] for t in chain] for chain in chains]
+
+
 @dataclass
 class LeafResult:
     chain: list
@@ -705,9 +714,14 @@ class MonomialisationReport:
         return out
 
     def to_json(self) -> dict:
+        """The report as JSON.  The leaf records share one transform dict per
+        tree edge (``_chains_json``): a dict changed in one record's chain
+        changes in every record below that edge."""
+        branches = list(self.tree.branches())
+        chains = _chains_json([chain for chain, _ in branches])
         leaves = [
-            {"chain": chain_to_json(chain), "sig": list(leaf.series.sig), **leaf.payload}
-            for chain, leaf in self.tree.branches()
+            {"chain": chain, "sig": list(leaf.series.sig), **leaf.payload}
+            for chain, (_, leaf) in zip(chains, branches)
         ]
         return {
             "input": render(self.input),
@@ -790,12 +804,13 @@ def division_chain(
     # records are built: an unordered leaf must not pre-empt a CapExceeded
     # that a later refinement would raise.
     leaves = []
-    for chain, leaf_sig, forms in branches:
+    chains = _chains_json([chain for chain, _, _ in branches])
+    for chain, (_, leaf_sig, forms) in zip(chains, branches):
         if _first_incomparable_pair([nf.monomial for nf in forms if nf is not None]):
             raise EngineError("leaf monomials are not ordered by division")
         leaves.append(
             {
-                "chain": chain_to_json(chain),
+                "chain": chain,
                 "sig": list(leaf_sig),
                 "factors": [
                     {"kind": "zero"} if nf is None else nf.to_json() for nf in forms

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -29,8 +29,8 @@ class Signature(NamedTuple):
     n: int
 
 
-# A multi-exponent is ((x-exponents as Fractions), (y-exponents as ints)).
-Exponent = tuple[tuple[Fraction, ...], tuple[int, ...]]
+# A multi-exponent is ((x-exponents, canonical by _x_exponent), (y-exponents as ints)).
+Exponent = tuple[tuple[Rational, ...], tuple[int, ...]]
 
 
 class SeriesError(ValueError):
@@ -45,39 +45,39 @@ def _check_exponent(sig: Signature, exp: Exponent) -> Exponent:
     xs, ys = exp
     if len(xs) != sig.m or len(ys) != sig.n:
         raise SeriesError(f"exponent {exp} does not match signature {sig}")
-    xs = tuple(Fraction(e) for e in xs)
-    ys = tuple(_y_exponent(e) for e in ys)
-    for e in xs:
-        if e < 0:
-            raise SeriesError(f"negative x-exponent {e}")
-    for e in ys:
-        if e < 0:
-            raise SeriesError(f"negative y-exponent {e}")
+    xs = tuple(map(_x_exponent, xs))
+    ys = tuple(map(_y_exponent, ys))
+    for axis, es in (("x", xs), ("y", ys)):
+        for e in es:
+            if e < 0:
+                raise SeriesError(f"negative {axis}-exponent {e}")
     return xs, ys
 
 
-def _y_exponent(e) -> int:
+def _x_exponent(e) -> Rational:
+    """The rational ``e`` as an ``int`` when integral, else as a ``Fraction``."""
     if type(e) is int:
         return e
-    q = Fraction(e)
-    if q.denominator != 1:
+    q = e if type(e) is Fraction else Fraction(e)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _y_exponent(e) -> int:
+    q = _x_exponent(e)
+    if type(q) is not int:
         raise SeriesError(f"y-exponent {e} is not an integer")
-    return q.numerator
+    return q
+
+
+def _fractional(terms) -> bool:
+    """Whether some x-exponent of the exponents ``terms`` is a Fraction."""
+    return any(type(e) is Fraction for xs, _ in terms for e in xs)
 
 
 def total_degree(exp: Exponent) -> Fraction:
-    """Sum of all exponents, accumulated over integer numerators and
-    denominators; one Fraction is built at the end."""
-    xs, ys = exp
-    num, den = sum(ys), 1
-    for e in xs:
-        d = e.denominator
-        if d == den:
-            num += e.numerator
-        else:
-            num = num * d + e.numerator * den
-            den *= d
-    return Fraction(num, den)
+    """Sum of all exponents, as a Fraction; integral exponents are ints, so
+    this is an int sum unless some x-exponent is fractional."""
+    return Fraction(sum(exp[0]) + sum(exp[1]))
 
 
 class Series:
@@ -90,12 +90,15 @@ class Series:
 
     ``Series._trusted`` skips all of that.  Only code inside the package may
     call it, and only with a result that is canonical already: a ``dict`` of
-    nonzero ``Fraction`` coefficients keyed by ``(Fraction-tuple,
-    int-tuple)`` exponents of the signature, every one of total degree below
-    a positive ``Fraction`` precision, and a ``Signature``.  The ring
-    operations, ``substitute_y``, the transform pullbacks and the splitting
-    helpers of the division and monomialisation layers build their results
-    from canonical operands this way.
+    nonzero ``Fraction`` coefficients keyed by exponents of the signature,
+    every one of total degree below a positive ``Fraction`` precision, and a
+    ``Signature``.  Exponents are canonical: y-exponents are ``int``s, and an
+    x-exponent is an ``int`` when integral, else a ``Fraction`` (with
+    denominator > 1), so each value has one type.  The ring operations,
+    ``substitute_y``, the transform pullbacks and the splitting helpers of the
+    division and monomialisation layers build their results this way; only
+    arithmetic on fractional x-exponents can give an integral ``Fraction``,
+    so only there is an exponent re-canonicalised.
 
     Result precision by operation (``p`` is an operand's precision):
 
@@ -166,7 +169,7 @@ class Series:
         return min(total_degree(e) for e in self.terms)
 
     def constant_term(self) -> Fraction:
-        zero = (tuple([Fraction(0)] * self.sig.m), tuple([0] * self.sig.n))
+        zero = ((0,) * self.sig.m, (0,) * self.sig.n)
         return self.terms.get(zero, Fraction(0))
 
     def is_unit(self) -> bool:
@@ -211,6 +214,9 @@ class Series:
             other.precision, min(deg_b, default=None),
         )
         b_terms = list(zip(other.terms.items(), deg_b))
+        # only two fractional x-exponents sum to an integer, as in x^(1/2) * x^(1/2)
+        canon = _fractional(other.terms) and _fractional(self.terms)
+        xadd = (lambda p, q: _x_exponent(p + q)) if canon else add
         terms: dict[Exponent, Fraction] = {}
         cancelled = False
         # a-outer, b-inner; a sum that cancels keeps its slot until the end
@@ -219,7 +225,7 @@ class Series:
             for ((xb, yb), cb), db in b_terms:
                 if not db < room:
                     continue
-                exp = (tuple(map(add, xa, xb)), tuple(map(add, ya, yb)))
+                exp = (tuple(map(xadd, xa, xb)), tuple(map(add, ya, yb)))
                 c = ca * cb
                 if exp in terms:
                     c += terms[exp]
@@ -334,7 +340,7 @@ def zero(sig: Signature, precision: Rational) -> Series:
 
 
 def constant(sig: Signature, c: Rational, precision: Rational) -> Series:
-    exp = (tuple([Fraction(0)] * sig.m), tuple([0] * sig.n))
+    exp = ((0,) * sig.m, (0,) * sig.n)
     return Series(sig, {exp: Fraction(c)}, precision)
 
 
@@ -350,8 +356,8 @@ def monomial(
 
 def x_var(sig: Signature, i: int, precision: Rational) -> Series:
     """The variable X_i (1-based)."""
-    xs = [Fraction(0)] * sig.m
-    xs[i - 1] = Fraction(1)
+    xs = [0] * sig.m
+    xs[i - 1] = 1
     return monomial(sig, xs, [0] * sig.n, precision)
 
 
@@ -560,10 +566,10 @@ def _eval_table(a: Series) -> _EvalTable:
     coeffs = a.terms.values()
     csum = float(sum(abs(c) for c in coeffs))
     fprec = float(a.precision)
-    if any(e.denominator != 1 for xs, _ in a.terms for e in xs):
+    if _fractional(a.terms):
         table = _EvalTable(None, (), (), 1, csum, fprec)
     else:
-        exps = [tuple(map(int, xs + ys)) for xs, ys in a.terms]
+        exps = [xs + ys for xs, ys in a.terms]
         width = a.sig.m + a.sig.n
         top = [max((es[k] for es in exps), default=0) for k in range(width)]
         active = tuple(k for k in range(width) if top[k])
@@ -609,7 +615,7 @@ def _evaluate_by_terms(a: Series, pt: list[Fraction]) -> Union[Fraction, float]:
 def common_monomial(a: Series) -> Exponent:
     """The largest monomial X^b Y^N dividing every term (coordinate minima)."""
     if not a.terms:
-        return (tuple([Fraction(0)] * a.sig.m), tuple([0] * a.sig.n))
+        return ((0,) * a.sig.m, (0,) * a.sig.n)
     exps = list(a.terms)
     xs = tuple(min(e[0][i] for e in exps) for i in range(a.sig.m))
     ys = tuple(min(e[1][j] for e in exps) for j in range(a.sig.n))
@@ -623,10 +629,12 @@ def divide_monomial(a: Series, exp: Exponent) -> Series:
     prec = a.precision - deg
     if prec <= 0:
         raise SeriesError(f"precision must be positive, got {prec}")
+    # x^(3/2) / x^(1/2) = x^1: only a fractional divisor needs re-canonicalising
+    xsub = (lambda p, q: _x_exponent(p - q)) if _fractional([exp]) else sub
     terms = {}
     for (xs, ys), c in a.terms.items():
-        nxs = tuple(p - q for p, q in zip(xs, exp[0]))
-        nys = tuple(p - q for p, q in zip(ys, exp[1]))
+        nxs = tuple(map(xsub, xs, exp[0]))
+        nys = tuple(map(sub, ys, exp[1]))
         if any(e < 0 for e in nxs) or any(e < 0 for e in nys):
             raise SeriesError(f"term {(xs, ys)} not divisible by {exp}")
         terms[(nxs, nys)] = c
@@ -738,12 +746,6 @@ def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
 # -- rendering ---------------------------------------------------------------
 
 
-def _render_exponent(e: Fraction) -> str:
-    if e.denominator == 1:
-        return str(e.numerator)
-    return f"({e.numerator}/{e.denominator})"
-
-
 def render(a: Series) -> str:
     """Canonical text form, sorted by graded-lexicographic exponent order."""
     if not a.terms:
@@ -756,7 +758,8 @@ def render(a: Series) -> str:
         for i, e in enumerate(exp[0]):
             if e == 0:
                 continue
-            factors.append(f"x{i+1}" + (f"^{_render_exponent(e)}" if e != 1 else ""))
+            power = "" if e == 1 else f"^{e}" if e.denominator == 1 else f"^({e})"
+            factors.append(f"x{i+1}{power}")
         for j, e in enumerate(exp[1]):
             if e == 0:
                 continue

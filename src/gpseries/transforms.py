@@ -50,6 +50,7 @@ from .series import (
     _pruned,
     _rational_power,
     _substitution_precision,
+    _x_exponent,
     evaluate,
     insert_y,
     render,
@@ -170,6 +171,8 @@ class _BlowUp(ElementaryTransform):
             for (xs, ys), c in f.terms.items():
                 e = [*xs, *ys]
                 e[t] += e[s]
+                if type(e[t]) is Fraction:  # x^(1/2) * x^(1/2) = x^1
+                    e[t] = _x_exponent(e[t])
                 terms[(tuple(e[:m2]), tuple(e[m2:]))] = c
             return _pruned(sig2, terms, f.precision)
         powers = {}  # b -> coefficients of (lam + v)^b by the power of v
@@ -180,7 +183,6 @@ class _BlowUp(ElementaryTransform):
                 raise NeedsRamification(
                     f"x{s + 1}-exponent {b} is fractional; ramify before the lambda chart"
                 )
-            b = int(b)
             e[t] += b
             if v != s:  # x-x at lam > 0: x_i becomes y_1'
                 e.insert(v, e.pop(s))
@@ -503,7 +505,7 @@ class RamifyX(ElementaryTransform):
         terms = {}
         for (xs, ys), c in f.terms.items():
             nxs = list(xs)
-            nxs[self.i - 1] *= self.gamma
+            nxs[self.i - 1] = _x_exponent(nxs[self.i - 1] * self.gamma)
             terms[(tuple(nxs), ys)] = c
         return _pruned(f.sig, terms, prec)
 
@@ -612,7 +614,7 @@ class SignChart(ElementaryTransform):
         terms = {}
         for (xs, ys), c in f.terms.items():
             b = ys[self.i - 1]
-            nxs = xs + (Fraction(b),)
+            nxs = xs + (b,)
             nys = ys[: self.i - 1] + ys[self.i :]
             key = (nxs, nys)
             terms[key] = terms.get(key, Fraction(0)) + c * (self.sign**b)

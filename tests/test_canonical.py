@@ -2,7 +2,9 @@
 
 The ring operations, ``substitute_y``, the pullbacks and the division helpers
 build their results through the trusted constructor.  Every such result must
-be exactly what the validating constructor would make of it.
+be exactly what the validating constructor would make of it, down to the type
+of each exponent: an integral x-exponent is an ``int``, any other one a
+``Fraction`` with denominator > 1.
 """
 
 from fractions import Fraction
@@ -16,9 +18,11 @@ from gpseries.series import (
     Signature,
     coefficients_in_y,
     constant,
+    divide_monomial,
     insert_y,
     invert_unit,
     partial_y,
+    render,
     set_to_zero,
     substitute_y,
 )
@@ -51,7 +55,11 @@ def assert_canonical(r: Series) -> None:
     assert type(r.precision) is Fraction and r.precision > 0
     for (xs, ys), c in r.terms.items():
         assert len(xs) == r.sig.m and len(ys) == r.sig.n
-        assert all(type(e) is Fraction and e >= 0 for e in xs), xs
+        for e in xs:
+            if e == int(e):
+                assert type(e) is int and e >= 0, xs
+            else:
+                assert type(e) is Fraction and e.denominator > 1 and e > 0, xs
         assert all(type(e) is int and e >= 0 for e in ys), ys
         assert type(c) is Fraction and c != 0
         assert sum(xs, Fraction(0)) + sum(ys) < r.precision
@@ -167,3 +175,38 @@ def test_scale_by_zero_is_zero_at_same_precision():
     assert z.is_zero()
     assert z.precision == Fraction(5)
     assert_canonical(z)
+
+
+# -- integral x-exponents built from fractional ones ----------------------------
+
+
+def test_fractional_exponents_that_sum_to_integers_come_out_int():
+    half = ps("x1^(1/2)", 1, 1)
+    halves = ps("x1^(1/2)*x2^(1/2)", 2, 1)
+    cases = [
+        (half * half, "x1"),
+        (RamifyX(1, Fraction(2)).pullback(half), "x1"),
+        (RamifyY(1, 2, -1).pullback(ps("x1^(1/2)*y1 + x1^(3/2)", 1, 1)),
+         "x1^(3/2) - x1^(1/2)*y1^2"),
+        (divide_monomial(ps("x1^(3/2)", 1, 1), ((Fraction(1, 2),), (0,))), "x1"),
+        (divide_monomial(ps("x1^(3/2)*y1", 1, 1), ((Fraction(3, 2),), (1,))), "1"),
+        (BlowUpXX(2, 1, 0).pullback(halves), "x1*x2^(1/2)"),
+        (BlowUpXX(1, 2, INF).pullback(halves), "x1*x2^(1/2)"),
+        (BlowUpYX(1, 1, INF).pullback(ps("x1^(1/2)*y1", 1, 1)), "x1^(1/2)*x2^(3/2)"),
+        (BlowUpYX(1, 1, NEG_INF).pullback(ps("x1^(1/2)*y1^3", 1, 1)),
+         "-x1^(1/2)*x2^(7/2)"),
+        (SignChart(1, -1).pullback(ps("x1^(1/2)*y1^2", 1, 1)), "x1^(1/2)*x2^2"),
+    ]
+    for r, text in cases:
+        assert_canonical(r)
+        assert render(r) == text
+
+
+def test_int_and_integral_fraction_exponents_give_one_series():
+    sig = Signature(1, 1)
+    a = Series(sig, {((Fraction(2),), (1,)): 3}, 5)
+    b = Series(sig, {((2,), (1,)): 3}, 5)
+    assert a == b and hash(a) == hash(b)
+    assert render(a) == render(b) == "3*x1^2*y1"
+    assert_canonical(a)
+    assert_canonical(b)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import math
 import random
+import re
 import sys
 import threading
 import time
@@ -379,3 +380,41 @@ def test_division_chain_rejects_empty_and_mismatched():
         division_chain([])
     with pytest.raises(EngineError):
         division_chain([ps("x1", 1, 1), ps("x1", 1, 0)])
+
+
+# -- JSON carries exact values only ----------------------------------------------
+
+
+def _json_leaves(data):
+    """Every value of a JSON document that is neither a dict nor a list."""
+    stack = [data]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, dict):
+            stack.extend(v.values())
+        elif isinstance(v, list):
+            stack.extend(v)
+        else:
+            yield v
+
+
+def assert_no_float(data):
+    # exponents, parameters and precisions are exact: no float, and no string
+    # that spells a decimal such as "1.0"
+    for v in _json_leaves(data):
+        assert type(v) is not float, v
+        assert not (isinstance(v, str) and re.search(r"\d\.", v)), v
+
+
+@pytest.mark.parametrize("text,m,n", NAMED_INPUTS)
+def test_monomialize_json_holds_no_float(text, m, n):
+    assert_no_float(monomialize(ps(text, m, n)).to_json())
+
+
+@pytest.mark.parametrize(
+    "texts", CHAIN_FAMILIES, ids=[f"family-{k}" for k in range(len(CHAIN_FAMILIES))]
+)
+def test_division_chain_json_holds_no_float(texts):
+    res = division_chain([ps(t, 1, 1) for t in texts])
+    assert_no_float(res.leaves)
+    assert_no_float(res.report.to_json())
