@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import groupby
 from operator import add, sub
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -472,22 +473,21 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
     """Evaluate at a rational point; exact when every power is rational in
     every term that does not vanish by a zero coordinate.
 
-    Float coordinates are read as the exact dyadic rationals they denote.
-    When every x-exponent is an integer the value is computed in integers:
-    with the coefficients written over the lcm ``L`` of their denominators
-    and coordinate ``i`` as ``n_i / d_i``, each term becomes an integer over
+    Float coordinates are read as the exact dyadic rationals they denote (a
+    NaN or an infinity is a ``SeriesError``).  When every x-exponent is an
+    integer the value is computed in integers: with the coefficients written
+    over the lcm ``L`` of their denominators and coordinate ``i`` as
+    ``n_i / d_i``, a sparse Horner scheme (``_fold``) gives one integer over
     ``D = L * prod d_i^(E_i)``, where ``E_i`` is the largest exponent of
-    coordinate ``i``, and the result is the single ``Fraction(sum, D)``.  This
-    is the exact value, so it equals what a term-by-term ``Fraction`` sum
-    gives.  A fractional x-exponent is evaluated term by term, falling back
-    to floats from the first power that is irrational.
+    coordinate ``i``: the exact value is the single ``Fraction(num, D)``.
+    A fractional x-exponent is evaluated term by term, falling back to
+    floats from the first power that is irrational.
 
-    Callers that only read ``float(value)`` (the float point maps and the
-    membership oracle) use ``_evaluate_rounded``: the same integer pass, with
-    ``sum / D`` rounded once, which gives the bits of ``float(Fraction(sum, D))``.
+    ``_evaluate_rounded`` (membership) and ``_value`` (the float point maps)
+    round ``num / D`` once, to ``float(Fraction(num, D))`` or an infinity.
 
     The tail bound is C * ||p||^delta with C the sum of absolute
-    coefficients and ||p|| the max-norm of the point.
+    coefficients and ||p|| the max-norm of the point, ``inf`` past the floats.
     """
     return _evaluate(a, point, rounded=False)
 
@@ -498,57 +498,52 @@ def _evaluate_rounded(a: Series, point: Sequence[Rational]) -> Evaluation:
 
 
 def _evaluate(a: Series, point: Sequence[Rational], rounded: bool) -> Evaluation:
+    value, table = _value(a, point, rounded), _eval_table(a)
+    try:
+        norm = max((abs(float(p)) for p in point), default=0.0)
+        return Evaluation(value, table.csum * norm**table.fprec if norm > 0 else 0.0)
+    except OverflowError:  # a finite point far outside the unit box
+        return Evaluation(value, math.inf if table.csum else 0.0)
+
+
+def _value(a: Series, point: Sequence[Rational], rounded: bool) -> Union[Fraction, float]:
+    """The value of ``_evaluate``, with every check of the point."""
     if len(point) != a.sig.m + a.sig.n:
-        raise SeriesError(
-            f"point of length {len(point)} for signature {a.sig}"
-        )
-    ratios = [_ratio(p) for p in point]
-    for i in range(a.sig.m):
-        if ratios[i][0] < 0:
-            raise SeriesError(
-                f"negative x-coordinate {Fraction(*ratios[i])} at position {i+1}"
-            )
+        raise SeriesError(f"point of length {len(point)} for signature {a.sig}")
+    ratios = [_ratio(p, i) for i, p in enumerate(point, 1)]
+    for i, (n, d) in enumerate(ratios[: a.sig.m], 1):
+        if n < 0:
+            raise SeriesError(f"negative x-coordinate {Fraction(n, d)} at position {i}")
     table = _eval_table(a)
     if table.rows is None:
         total = _evaluate_by_terms(a, [Fraction(n, d) for n, d in ratios])
-        if rounded:
-            total = float(total)
-    else:
-        den = table.den
-        weights = []
-        for k, top in zip(table.active, table.top):
-            n, d = ratios[k]
-            npow, dpow = [1], [1]
-            for _ in range(top):
-                npow.append(npow[-1] * n)
-                dpow.append(dpow[-1] * d)
-            den *= dpow[top]
-            weights.append([npow[e] * dpow[top - e] for e in range(top + 1)])
-        num = 0
-        for c, es in table.rows:
-            for w, e in zip(weights, es):
-                c *= w[e]
-            num += c
-        # n / d is float(Fraction(n, d)): both round the exact quotient once
-        total = num / den if rounded else Fraction(num, den)
-    norm = max((abs(n / d) for n, d in ratios), default=0.0)
-    tail = table.csum * norm ** table.fprec if norm > 0 else 0.0
-    return Evaluation(total, tail)
+        return float(total) if rounded else total
+    pairs = [ratios[k] for k in table.active]
+    den = table.den
+    for (_, d), top in zip(pairs, table.top):
+        den *= d**top
+    num = _fold(table.rows, pairs, table.top, 0) if pairs else table.rows
+    try:  # n / d is float(Fraction(n, d)): both round the exact quotient once
+        return num / den if rounded else Fraction(num, den)
+    except OverflowError:  # past the largest float, where rounding gives an infinity
+        return math.inf if num > 0 else -math.inf
 
 
-def _ratio(p) -> tuple[int, int]:
-    """``p`` as a numerator and a positive denominator in lowest terms,
-    exactly as ``Fraction(p)`` reads it."""
-    if type(p) is float:
-        return p.as_integer_ratio()
-    q = p if type(p) is Fraction else Fraction(p)
+def _ratio(p, pos: int) -> tuple[int, int]:
+    """``p`` as ``Fraction(p)`` reads it, ``(numerator, denominator > 0)``; ``pos`` names it."""
+    try:
+        if type(p) is float:
+            return p.as_integer_ratio()
+        q = p if type(p) is Fraction else Fraction(p)
+    except (ValueError, OverflowError):
+        raise SeriesError(f"coordinate {p!r} at position {pos} is not finite") from None
     return q.numerator, q.denominator
 
 
 class _EvalTable(NamedTuple):
     """What ``evaluate`` needs of a series, independent of the point."""
 
-    rows: Optional[list]  # (c * den, active exponents) per term; None if an x-exponent is fractional
+    rows: Union[None, int, tuple]  # Horner scheme of c * den (``_horner``); None if an x-exponent is fractional
     active: tuple  # the coordinates with a nonzero exponent in some term
     top: tuple  # the largest exponent of each active coordinate
     den: int  # lcm of the coefficient denominators
@@ -574,13 +569,30 @@ def _eval_table(a: Series) -> _EvalTable:
         top = [max((es[k] for es in exps), default=0) for k in range(width)]
         active = tuple(k for k in range(width) if top[k])
         den = math.lcm(*(c.denominator for c in coeffs))
-        rows = [
-            (c.numerator * (den // c.denominator), tuple(es[k] for k in active))
-            for c, es in zip(coeffs, exps)
-        ]
-        table = _EvalTable(rows, active, tuple(top[k] for k in active), den, csum, fprec)
+        rows = sorted(((tuple(es[k] for k in active), c.numerator * (den // c.denominator))
+                       for c, es in zip(coeffs, exps)), reverse=True)
+        table = _EvalTable(_horner(rows), active, tuple(top[k] for k in active), den, csum, fprec)
     object.__setattr__(a, "_eval", table)
     return table
+
+
+def _horner(rows: list):
+    """Rows ``(exponents, c)``, sorted descending, as a sparse Horner scheme: ``((e,
+    scheme of the rest of the rows whose first exponent is e), ...)``, down to c (0 if none)."""
+    if not rows or not rows[0][0]:
+        return sum(c for _, c in rows)
+    return tuple((e, _horner([(es[1:], c) for es, c in g])) for e, g in groupby(rows, lambda r: r[0][0]))
+
+
+def _fold(scheme: tuple, pairs: list, tops: tuple, k: int) -> int:
+    """``sum c * prod_(i >= k) n_i^e_i * d_i^(tops[i] - e_i)`` over the scheme, with
+    ``(n_i, d_i) = pairs[i]``: by ``n^gap`` and ``d^gap`` between exponents."""
+    (n, d), prev, acc, dpow = pairs[k], tops[k], 0, 1
+    for e, rest in scheme:
+        dpow *= d ** (prev - e)
+        acc = acc * n ** (prev - e) + dpow * (rest if type(rest) is int else _fold(rest, pairs, tops, k + 1))
+        prev = e
+    return acc * n**prev
 
 
 def _evaluate_by_terms(a: Series, pt: list[Fraction]) -> Union[Fraction, float]:

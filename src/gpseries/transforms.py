@@ -14,9 +14,10 @@ with a centre of order < 1 lower it.
 The point maps take float, Fraction and int coordinates.  An exact
 coordinate meets the exact chart values.  A float coordinate meets floats,
 and each exact chart value is rounded to a float only once: lam, c_k, gamma
-and 1/gamma keep a float copy, and a Tschirnhausen centre rounds its exact
-value at the point once.  Python evaluates ``Fraction op float`` as
-``float(Fraction) op float``, so the bits are those the exact values give.
+and 1/gamma keep a float copy, and a Tschirnhausen centre takes the value of
+h alone (``series._value``: exact sparse Horner, no tail bound), rounded
+once.  Python evaluates ``Fraction op float`` as ``float(Fraction) op float``,
+so the bits are those the exact values give.
 
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
@@ -46,12 +47,11 @@ from .series import (
     SeriesError,
     Signature,
     SignatureMismatch,
-    _evaluate_rounded,
     _pruned,
     _rational_power,
     _substitution_precision,
+    _value,
     _x_exponent,
-    evaluate,
     insert_y,
     render,
     substitute_y,
@@ -402,9 +402,7 @@ class Tschirnhausen(ElementaryTransform):
         """Position ``k`` of y_j in ``p`` and h at the other coordinates,
         rounded once to a float when ``p[k]`` is one."""
         k = sig.m + self._index(sig) - 1
-        args = list(p[:k]) + list(p[k + 1 :])
-        value_at = _evaluate_rounded if isinstance(p[k], float) else evaluate
-        return k, value_at(self.h, args).value
+        return k, _value(self.h, list(p[:k]) + list(p[k + 1 :]), isinstance(p[k], float))
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         k, hval = self._center(p, sig)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from gpseries.series import Signature
+from gpseries.series import SeriesError, Signature
 from gpseries.parser import parse_basic_set
 from gpseries.geometry import (
     IN,
@@ -50,6 +50,22 @@ def test_membership_union():
     b = bset("x1 > 0 | y1 = 0")
     assert membership(b, [0.0, 0.0]) in (IN, UNKNOWN)
     assert membership(b, [0.5, 0.3]) in (IN, UNKNOWN)
+
+
+def test_membership_rejects_non_finite_points():
+    b = bset("y1^2 - x1^3 = 0 & x1 > 0")
+    for point, pos in (([float("nan"), 0.0], 1), ([0.5, float("-inf")], 2)):
+        with pytest.raises(SeriesError, match=f"position {pos}"):
+            membership(b, point)
+
+
+def test_membership_is_unknown_where_the_tail_bound_overflows():
+    # finite values at a finite point, but C * ||p||^8 leaves the float range
+    b = bset("y1 - x1^3 = 0 & x1 > 0")
+    assert membership(b, [0.5, 1e308]) == UNKNOWN
+    # and where the value itself rounds to an infinity
+    b = bset("x1^2*y1 + 1/3*y1^5 > 0")
+    assert membership(b, [0.5, 1e308]) == UNKNOWN
 
 
 # -- parametrisation --------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Core series arithmetic: frozen oracles and ring-law properties."""
 
 from fractions import Fraction
+import math
 import random
 import time
 
@@ -44,13 +45,14 @@ small_fracs = st.fractions(min_value=-5, max_value=5, max_denominator=3)
 x_exps = st.fractions(min_value=0, max_value=4, max_denominator=2)
 int_x_exps = st.integers(min_value=0, max_value=4).map(Fraction)
 y_exps = st.integers(min_value=0, max_value=4)
+wide_exps = st.integers(min_value=0, max_value=8)
 
 
-def series_st(sig: Signature, prec=8, x_exps=x_exps):
+def series_st(sig: Signature, prec=8, x_exps=x_exps, y_exps=y_exps, max_size=5):
     exps = st.tuples(
         st.tuples(*([x_exps] * sig.m)), st.tuples(*([y_exps] * sig.n))
     )
-    return st.dictionaries(exps, small_fracs, max_size=5).map(
+    return st.dictionaries(exps, small_fracs, max_size=max_size).map(
         lambda t: Series(sig, t, Fraction(prec))
     )
 
@@ -387,9 +389,17 @@ y_coords = st.one_of(
 @given(st.data())
 def test_evaluate_matches_fraction_sum(data):
     # bit for bit: the value (type included) and the tail bound, with integer
-    # and fractional x-exponents, float, Fraction and int coordinates
-    sig = data.draw(st.sampled_from([SIG11, SIG21, Signature(1, 0), Signature(0, 2)]))
-    a = data.draw(st.one_of(series_st(sig), series_st(sig, x_exps=int_x_exps)))
+    # and fractional x-exponents, float, Fraction and int coordinates; the
+    # wide draws (integral exponents up to 8, up to 8 terms, precision above
+    # every total degree) give exponent gaps, coordinates in no term and up
+    # to four nested exponent levels
+    sig = data.draw(st.sampled_from(
+        [SIG11, SIG21, Signature(1, 0), Signature(0, 2), Signature(2, 2), Signature(3, 1)]
+    ))
+    wide = series_st(
+        sig, prec=8 * (sig.m + sig.n) + 1, x_exps=wide_exps, y_exps=wide_exps, max_size=8
+    )
+    a = data.draw(st.one_of(series_st(sig), series_st(sig, x_exps=int_x_exps), wide))
     point = [data.draw(x_coords) for _ in range(sig.m)]
     point += [data.draw(y_coords) for _ in range(sig.n)]
     value, tail = _evaluate_by_fractions(a, point)
@@ -403,6 +413,35 @@ def test_evaluate_matches_fraction_sum(data):
     assert type(rounded.value) is float
     assert repr(rounded.value) == repr(float(value))
     assert rounded.tail_bound == tail
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("evaluator", [evaluate, _evaluate_rounded])
+def test_evaluate_rejects_non_finite_coordinates(bad, evaluator):
+    a = ps("y1^2 - x1^3", 1, 1)
+    for point, pos in (([bad, 0.5], 1), ([0.5, bad], 2)):
+        with pytest.raises(SeriesError, match=f"position {pos}"):
+            evaluator(a, point)
+    # a fractional x-exponent takes the term-by-term path, checked the same way
+    with pytest.raises(SeriesError, match="position 2"):
+        evaluator(ps("x1^(1/2)*y1", 1, 1), [0.25, bad])
+    with pytest.raises(SeriesError, match="negative x-coordinate"):
+        evaluator(a, [-0.5, 0.5])
+
+
+def test_evaluate_tail_bound_overflows_to_infinity():
+    # the exact value is finite; only the tail bound leaves the float range
+    a = ps("x1^2*y1 + 1/3*y1^5", 1, 1)
+    ev = evaluate(a, [0.5, 1e308])
+    y = Fraction(1e308)
+    assert ev.value == Fraction(1, 4) * y + y**5 / 3
+    assert ev.tail_bound == math.inf
+    ev = _evaluate_rounded(ps("x1^2*y1", 1, 1), [0.5, 1e308])
+    assert (ev.value, ev.tail_bound) == (0.25e308, math.inf)
+    assert evaluate(ps("0", 1, 1), [0.5, 1e308]).tail_bound == 0.0
+    # a value past the largest float rounds to an infinity of its sign
+    assert _evaluate_rounded(a, [0.5, 1e308]).value == math.inf
+    assert _evaluate_rounded(a, [0.5, -1e308]).value == -math.inf
 
 
 def test_evaluate_is_exact_when_irrational_powers_vanish():

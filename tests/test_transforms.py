@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from gpseries.series import Signature, evaluate
+from gpseries.series import SeriesError, Signature, evaluate
 from gpseries.transforms import (
     INF,
     NEG_INF,
@@ -293,6 +293,48 @@ def test_wide_blowup_point_map_bits_are_pinned():
         (BlowUpYX(1, 2, Fraction(-3, 7)), sig22),
     ]
     assert _point_map_digest(variants, 2025) == PINNED_WIDE_POINT_MAP_SHA256
+
+
+@pytest.mark.parametrize(
+    "text, h_sig, j",
+    [
+        ("x1^9 - 2/3*x1^4 + 5/7*x1", Signature(1, 0), 0),
+        ("x1^7*y1^2 - 3/5*y1^6 + 1/9*x1^2", Signature(1, 1), 0),
+        ("x1^7*y1^2 - 3/5*y1^6 + 1/9*x1^2", Signature(1, 1), 1),
+        ("x2^6*y1 - 5/3*x1^5*x2^2 + 2/7*x1*y1^4 + 1/11*x2^3", Signature(2, 1), 0),
+    ],
+)
+def test_tschirnhausen_point_maps_add_the_centre_value(text, h_sig, j):
+    # sparse, high-degree centres: a float point meets float(h(args)), the
+    # exact value rounded once; an exact point stays exact
+    h = ps(text, h_sig.m, h_sig.n, prec=16)
+    t = Tschirnhausen(h, j)
+    sig = Signature(h_sig.m, h_sig.n + 1)
+    k = sig.m + (sig.n if j == 0 else j) - 1
+    rng = random.Random(17)
+    floats = [_sample(rng, sig, radius=0.9) for _ in range(20)]
+    fracs = [
+        [Fraction(rng.randint(0 if i < sig.m else -9, 9), 7) for i in range(len(p))]
+        for p in floats[:10]
+    ]
+    for p in floats + fracs:
+        exact = evaluate(h, p[:k] + p[k + 1 :]).value
+        hval = float(exact) if isinstance(p[k], float) else exact
+        for q, want in (
+            (t.forward_point_sig(p, sig), p[k] + hval),
+            (t.inverse_point(p, sig), p[k] - hval),
+        ):
+            assert q[:k] + q[k + 1 :] == p[:k] + p[k + 1 :]
+            assert type(q[k]) is type(p[k])
+            assert repr(q[k]) == repr(want)
+
+
+def test_tschirnhausen_point_maps_reject_non_finite_points():
+    t = Tschirnhausen(ps("x1^2", 1, 0))
+    for apply in (t.forward_point_sig, t.inverse_point):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(SeriesError, match="position 1"):
+                apply([bad, 0.5], SIG11)
 
 
 def test_forward_inverse_roundtrip():
