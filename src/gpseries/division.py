@@ -112,9 +112,7 @@ def weierstrass_divide(f: Series, g: Series, d: Optional[int] = None) -> Weierst
 def _subst_last_y(g: Series, a: Series) -> Series:
     """g(x, y_1..y_{n-1}, a) as a series over (m, n-1)."""
     n = g.sig.n
-    rep = insert_y(a, n).truncate(g.precision)
-    composed = substitute_y(g, {n: rep})
-    return set_to_zero(composed, zero_y=(n,))
+    return set_to_zero(substitute_y(g, {n: insert_y(a, n)}), zero_y=(n,))
 
 
 def solve_implicit(g: Series) -> Series:

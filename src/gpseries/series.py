@@ -109,7 +109,10 @@ class Series:
     * ``truncate(q)``: ``min(p, q)``;
     * division by ``X^b``: ``p - deg b`` (``divide_monomial``; ``partial_y``
       and ``coefficients_in_y`` divide by ``Y_j`` and by ``Y_j^k``);
-    * substitution: ``p * min(1, orders)`` (``_substitution_precision``);
+    * substitution: ``p * min(1, orders)`` (``_substitution_precision``),
+      one product per group of terms with equal replaced y-exponents; the
+      terms are exact only below the smallest precision of those products,
+      an over-claim (ROADMAP item 1);
     * unit inversion: ``p`` (``invert_unit``);
     * Weierstrass division: over-claims, see ROADMAP item 12.
 
@@ -517,7 +520,7 @@ def _value(a: Series, point: Sequence[Rational], rounded: bool) -> Union[Fractio
     table = _eval_table(a)
     if table.rows is None:
         total = _evaluate_by_terms(a, [Fraction(n, d) for n, d in ratios])
-        return float(total) if rounded else total
+        return _rounded(total) if rounded else total
     pairs = [ratios[k] for k in table.active]
     den = table.den
     for (_, d), top in zip(pairs, table.top):
@@ -596,29 +599,38 @@ def _fold(scheme: tuple, pairs: list, tops: tuple, k: int) -> int:
 
 
 def _evaluate_by_terms(a: Series, pt: list[Fraction]) -> Union[Fraction, float]:
-    """Term-by-term evaluation for a series with a fractional x-exponent."""
-    exact = True
+    """Term-by-term evaluation for a series with a fractional x-exponent: a
+    term is exact up to its first irrational power and a float from there on,
+    and a float past the largest one is the infinity of its sign."""
     total: Union[Fraction, float] = Fraction(0)
     for (xs, ys), c in a.terms.items():
-        if any(e and not base for base, e in zip(pt, xs + ys)):
+        es = xs + ys
+        if any(e and not base for base, e in zip(pt, es)):
             continue  # a zero coordinate to a positive power: exactly 0
         term: Union[Fraction, float] = c
-        for base, e in zip(pt[: a.sig.m], xs):
-            if e == 0:
+        for base, e in zip(pt, es):
+            if not e:
                 continue
-            p = _rational_power(base, e) if base > 0 else (Fraction(0) if e > 0 else None)
-            if p is None:
-                exact = False
-                term = float(term) * float(base) ** float(e)
+            p = _rational_power(base, e)
+            if p is None:  # an irrational power of an x-coordinate > 0
+                try:
+                    p = _rounded(base) ** float(e)
+                except OverflowError:
+                    p = math.inf
+                term = _rounded(term) * p
             else:
-                term = term * p if isinstance(term, Fraction) else term * float(p)
-        for base, e in zip(pt[a.sig.m :], ys):
-            if e:
-                term = term * base**e if isinstance(term, Fraction) else term * float(base**e)
-        total = total + term if (isinstance(total, Fraction) and isinstance(term, Fraction)) else float(total) + float(term)
-    if not exact and isinstance(total, Fraction):
-        total = float(total)
+                term = term * p if type(term) is Fraction else term * _rounded(p)
+        exact = type(total) is type(term) is Fraction
+        total = total + term if exact else _rounded(total) + _rounded(term)
     return total
+
+
+def _rounded(v: Union[Rational, float]) -> float:
+    """``float(v)``, or the infinity of its sign past the largest float."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 # -- monomial factor / division --------------------------------------------
@@ -716,8 +728,13 @@ def coefficients_in_y(a: Series, j: int) -> dict[int, Series]:
 def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
     """Substitute Y_j by replacement series (same signature) for each j.
 
-    Replacements must have zero constant term; the result precision follows
-    ``_substitution_precision``.
+    Replacements must have zero constant term.  With the terms of ``a``
+    grouped as ``a = sum_k C_k * prod_j Y_j^(k_j)`` by their replaced
+    y-exponents, each group adds ``C_k * prod_j R_j^(k_j)`` once, multiplied
+    in increasing j; every product and every power ``R_j^e = R_j^(e-1) * R_j``
+    is cut at ``P = a.precision``.  The sum is exact below the smallest
+    precision of its pieces, yet the result claims ``P * min(1, orders)``
+    (``_substitution_precision``): an over-claim, ROADMAP item 1.
     """
     for j, rep in replacements.items():
         if not 1 <= j <= a.sig.n:
@@ -730,27 +747,22 @@ def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
         a.precision,
         [rep.order() for rep in replacements.values() if not rep.is_zero()],
     )
-    work_prec = a.precision
-    result = zero(a.sig, work_prec)
-    power_cache: dict[tuple[int, int], Series] = {}
-
-    def rep_power(j: int, k: int) -> Series:
-        if k == 0:
-            return constant(a.sig, 1, work_prec)
-        if (j, k) not in power_cache:
-            power_cache[(j, k)] = (rep_power(j, k - 1) * replacements[j]).truncate(
-                work_prec
-            )
-        return power_cache[(j, k)]
-
+    P = a.precision
+    js = sorted(replacements)
+    groups: dict[tuple[int, ...], dict[Exponent, Fraction]] = {}
     for (xs, ys), c in a.terms.items():
-        ys0 = tuple(
-            0 if (j + 1) in replacements else e for j, e in enumerate(ys)
-        )
-        piece = Series._trusted(a.sig, {(xs, ys0): c}, work_prec)
-        for j, e in enumerate(ys):
-            if (j + 1) in replacements and e:
-                piece = (piece * rep_power(j + 1, e)).truncate(work_prec)
+        ys0 = tuple(0 if j in replacements else e for j, e in enumerate(ys, 1))
+        groups.setdefault(tuple(ys[j - 1] for j in js), {})[(xs, ys0)] = c
+    powers = {j: [constant(a.sig, 1, P)] for j in js}
+    result = zero(a.sig, P)
+    for ks, terms in groups.items():
+        piece = Series._trusted(a.sig, terms, P)
+        for j, k in zip(js, ks):
+            if k:
+                rj = powers[j]
+                while len(rj) <= k:
+                    rj.append((rj[-1] * replacements[j]).truncate(P))
+                piece = (piece * rj[k]).truncate(P)
         result = result + piece
     return Series._trusted(a.sig, _below(result.terms, prec), prec)
 

@@ -393,8 +393,7 @@ class Tschirnhausen(ElementaryTransform):
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
         j = self._index(f.sig)
-        h_emb = insert_y(self.h, j)
-        rep = y_var(f.sig, j, f.precision) + h_emb.truncate(f.precision)
+        rep = y_var(f.sig, j, f.precision) + insert_y(self.h, j)
         # substitute_y requires zero constant term; rep = y_j + h qualifies
         return substitute_y(f, {j: rep})
 
@@ -694,7 +693,7 @@ def _lambda(v) -> Lambda:
 _FIELD_CONVERTERS = {"int": _of_type(int), "tuple": _fractions, "Lambda": _lambda}
 
 
-def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransform:
+def transform_from_json(d: dict) -> ElementaryTransform:
     """Inverse of ``to_json``; malformed input raises ``TransformError``
     naming the kind and the field."""
     kind = _json_field(d, "transform", "kind", _of_type(str))
@@ -702,9 +701,7 @@ def transform_from_json(d: dict, precision: Rational = None) -> ElementaryTransf
         from .parser import parse_series
 
         h_sig = _json_field(d, kind, "h_sig", _json_signature)
-        precision = _json_field(d, kind, "h_prec", Fraction, precision)
-        if precision is None:
-            raise TransformError("tschirnhausen deserialization needs a precision")
+        precision = _json_field(d, kind, "h_prec", Fraction)
         # a parsed product certifies more than its factors' precision; the
         # center keeps exactly the precision it was written with
         h = _json_field(d, kind, "h", lambda text: parse_series(text, h_sig, precision))
@@ -731,11 +728,6 @@ def chain_sigs(chain: Sequence[ElementaryTransform], sig: Signature) -> list[Sig
     return sigs
 
 
-def pullback(t: ElementaryTransform, f: Series) -> Series:
-    """Pullback F |-> F o nu for a single elementary transformation."""
-    return t.pullback(f)
-
-
 def pullback_chain(chain: Sequence[ElementaryTransform], f: Series) -> Series:
     """Left-to-right composition: F o nu_1 o ... o nu_N."""
     for idx, t in enumerate(chain):
@@ -744,11 +736,6 @@ def pullback_chain(chain: Sequence[ElementaryTransform], f: Series) -> Series:
         except SeriesError as exc:
             raise TransformError(f"step {idx + 1} ({t.describe()}): {exc}") from exc
     return f
-
-
-def forward_point(t: ElementaryTransform, p: Sequence, sig: Signature) -> Point:
-    """Image of a downstream point under nu (sig is the upstream signature)."""
-    return t.forward_point_sig(p, sig)
 
 
 def forward_chain(

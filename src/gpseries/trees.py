@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .series import Rational, Series, SeriesError, Signature
+from .series import Series, SeriesError, Signature
 from .transforms import (
     _json_field,
     _json_signature,
@@ -170,7 +170,7 @@ def tree_to_json(tree: AdmissibleTree) -> dict:
     return {"sig": list(tree.sig), "root": out[0]}
 
 
-def tree_from_json(data: dict, precision: Rational = None) -> AdmissibleTree:
+def tree_from_json(data: dict) -> AdmissibleTree:
     """Inverse of ``tree_to_json``, rebuilt in pre-order by an explicit-stack
     walk, so a malformed tree fails at its first bad node; malformed input
     raises ``TransformError`` naming the field."""
@@ -184,7 +184,7 @@ def tree_from_json(data: dict, precision: Rational = None) -> AdmissibleTree:
             raise TransformError(f"tree JSON has a bad {name!r}: {d!r}")
         t = None
         if "transform" in d:
-            t = transform_from_json(d["transform"], precision)
+            t = transform_from_json(d["transform"])
         payload = _json_field(d, "tree", "payload", _of_type(dict), {})
         node = TreeNode(transform=t, payload=dict(payload))
         siblings.append(node)

@@ -66,6 +66,9 @@ def test_membership_is_unknown_where_the_tail_bound_overflows():
     # and where the value itself rounds to an infinity
     b = bset("x1^2*y1 + 1/3*y1^5 > 0")
     assert membership(b, [0.5, 1e308]) == UNKNOWN
+    # on the fractional-exponent path, with a rational and an irrational root
+    assert membership(bset("x1^(1/2)*y1^5 > 0"), [0.25, 1e308]) == UNKNOWN
+    assert membership(bset("x1^(1/3)*y1^2 > 0"), [2.0, 1e200]) == UNKNOWN
 
 
 # -- parametrisation --------------------------------------------------------------

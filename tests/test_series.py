@@ -334,6 +334,56 @@ def test_substitute_y_oracle():
     assert out.eq_mod_precision(ps("x1^2 + 2*x1*y1 + y1^2", 1, 1))
 
 
+def _substitute_term_by_term(a, reps):
+    """Reference substitution: a one-term piece per term of ``a``, times
+    cached powers of the replacements, folded with ``+``; the result claims
+    ``a.precision * min(1, orders)`` whatever the pieces' precisions."""
+    prec = a.precision
+    cache = {}
+
+    def power(j, k):
+        if k == 0:
+            return constant(a.sig, 1, prec)
+        if (j, k) not in cache:
+            cache[(j, k)] = (power(j, k - 1) * reps[j]).truncate(prec)
+        return cache[(j, k)]
+
+    result = zero(a.sig, prec)
+    for (xs, ys), c in a.terms.items():
+        ys0 = tuple(0 if j in reps else e for j, e in enumerate(ys, 1))
+        piece = Series(a.sig, {(xs, ys0): c}, prec)
+        for j, e in enumerate(ys, 1):
+            if j in reps and e:
+                piece = (piece * power(j, e)).truncate(prec)
+        result = result + piece
+    orders = [r.order() for r in reps.values() if not r.is_zero()]
+    return Series(a.sig, result.terms, prec * min([1, *orders]))
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3)])
+def test_substitute_y_matches_term_by_term_reference(m, n):
+    # replacement precisions fall below and above the target's, as in the
+    # division chains, where a third of the replacements are the coarser
+    sig = Signature(m, n)
+    rng = random.Random(1000 * m + n)
+    zero_exp = ((0,) * m, (0,) * n)
+    coarse = 0
+    for _ in range(150):
+        prec = Fraction(rng.randint(2, 9), rng.choice([1, 2, 3]))
+        a = random_series(rng, sig, prec, nterms=rng.randint(0, 8),
+                          fractional_x=rng.random() < 0.5)
+        reps = {}
+        for j in rng.sample(range(1, n + 1), rng.randint(1, n)):
+            r = random_series(rng, sig, Fraction(rng.randint(1, 12), rng.choice([1, 2])),
+                              nterms=rng.randint(0, 4), fractional_x=rng.random() < 0.5)
+            reps[j] = Series(sig, {e: c for e, c in r.terms.items() if e != zero_exp},
+                             r.precision)
+            coarse += reps[j].precision < prec
+        got, want = substitute_y(a, reps), _substitute_term_by_term(a, reps)
+        assert (got.terms, got.precision) == (want.terms, want.precision), (a, reps)
+    assert coarse > 20
+
+
 # -- evaluation -----------------------------------------------------------------
 
 
@@ -442,6 +492,14 @@ def test_evaluate_tail_bound_overflows_to_infinity():
     # a value past the largest float rounds to an infinity of its sign
     assert _evaluate_rounded(a, [0.5, 1e308]).value == math.inf
     assert _evaluate_rounded(a, [0.5, -1e308]).value == -math.inf
+    # so does the fractional-exponent path, exact or past an irrational power
+    b = ps("x1^(1/2)*y1^5", 1, 1)
+    assert _evaluate_rounded(b, [0.25, 1e308]).value == math.inf
+    assert _evaluate_rounded(b, [0.25, -1e308]).value == -math.inf
+    c = ps("-x1^(1/3)*y1^2", 1, 1)
+    assert _evaluate_rounded(c, [2.0, 1e200]) == (-math.inf, math.inf)
+    assert evaluate(c, [2.0, 1e200]).value == -math.inf
+    assert evaluate(ps("x1^(3/2)", 1, 1), [1e300, 0.5]).value == math.inf
 
 
 def test_evaluate_is_exact_when_irrational_powers_vanish():

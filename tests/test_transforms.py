@@ -24,9 +24,7 @@ from gpseries.transforms import (
     chain_sigs,
     chain_to_json,
     forward_chain,
-    forward_point,
     inverse_chain,
-    pullback,
     pullback_chain,
     transform_from_json,
 )
@@ -61,21 +59,21 @@ def test_chain_sigs():
 def test_blowup_yx_finite_oracle():
     # y1 <- x1*(1 + y1) applied to y1^2 - x1^2 gives x1^2*(2*y1 + y1^2)
     f = ps("y1^2 - x1^2", 1, 1)
-    g = pullback(BlowUpYX(1, 1, 1), f)
+    g = BlowUpYX(1, 1, 1).pullback(f)
     assert g.eq_mod_precision(ps("2*x1^2*y1 + x1^2*y1^2", 1, 1))
 
 
 def test_blowup_yx_zero_chart_oracle():
     # lambda = 0: y1 <- x1*y1
     f = ps("y1^2 - x1^2", 1, 1)
-    g = pullback(BlowUpYX(1, 1, 0), f)
+    g = BlowUpYX(1, 1, 0).pullback(f)
     assert g.eq_mod_precision(ps("x1^2*y1^2 - x1^2", 1, 1))
 
 
 def test_blowup_yx_infinity_chart_oracle():
     # y1 becomes a new nonnegative variable x2; y1 <- x2, x1 <- x2*x1
     f = ps("y1^2 - x1^2", 1, 1)
-    g = pullback(BlowUpYX(1, 1, INF), f)
+    g = BlowUpYX(1, 1, INF).pullback(f)
     assert g.sig == Signature(2, 0)
     assert g.eq_mod_precision(ps("x2^2 - x2^2*x1^2", 2, 0))
 
@@ -83,14 +81,14 @@ def test_blowup_yx_infinity_chart_oracle():
 def test_blowup_xx_zero_chart_oracle():
     # x2 <- x1*x2
     f = ps("x1^2*x2 + x1*x2^3", 2, 0)
-    g = pullback(BlowUpXX(2, 1, 0), f)
+    g = BlowUpXX(2, 1, 0).pullback(f)
     assert g.eq_mod_precision(ps("x1^3*x2 + x1^4*x2^3", 2, 0))
 
 
 def test_blowup_xx_finite_chart_oracle():
     # x2 <- x2*(1 + y1), x1 <- x2*x1 on x1*x2 over (2,0) -> (1,1)
     f = ps("x1*x2", 2, 0)
-    g = pullback(BlowUpXX(2, 1, 1), f)
+    g = BlowUpXX(2, 1, 1).pullback(f)
     assert g.sig == Signature(1, 1)
     assert g.eq_mod_precision(ps("x1^2 + x1^2*y1", 1, 1))
 
@@ -98,27 +96,27 @@ def test_blowup_xx_finite_chart_oracle():
 def test_blowup_xx_finite_needs_natural_exponents():
     f = ps("x2^(1/2)", 2, 0)
     with pytest.raises(NeedsRamification):
-        pullback(BlowUpXX(2, 1, 1), f)
+        BlowUpXX(2, 1, 1).pullback(f)
 
 
 def test_tschirnhausen_oracle():
     # y1 <- y1 + x1 applied to y1^2
     h = ps("x1", 1, 0)
     f = ps("y1^2", 1, 1)
-    g = pullback(Tschirnhausen(h), f)
+    g = Tschirnhausen(h).pullback(f)
     assert g.eq_mod_precision(ps("y1^2 + 2*x1*y1 + x1^2", 1, 1))
 
 
 def test_linear_oracle():
     # shear y1 <- y1 + 2*y2 over (0,2)
     f = ps("y1", 0, 2)
-    g = pullback(Linear(2, (Fraction(2),)), f)
+    g = Linear(2, (Fraction(2),)).pullback(f)
     assert g.eq_mod_precision(ps("y1 + 2*y2", 0, 2))
 
 
 def test_ramify_x_oracle():
     f = ps("x1^(1/2)", 1, 0)
-    g = pullback(RamifyX(1, Fraction(2)), f)
+    g = RamifyX(1, Fraction(2)).pullback(f)
     assert g.eq_mod_precision(ps("x1", 1, 0))
 
 
@@ -138,14 +136,14 @@ def test_tschirnhausen_pullback_precision():
 def test_sign_chart_oracle():
     # y1 <- -x2: the y-variable becomes a new nonnegative x-variable
     f = ps("y1 + y1^2", 1, 1)
-    g = pullback(SignChart(1, -1), f)
+    g = SignChart(1, -1).pullback(f)
     assert g.sig == Signature(2, 0)
     assert g.eq_mod_precision(ps("-x2 + x2^2", 2, 0))
 
 
 def test_ramify_y_oracle():
     f = ps("y1", 1, 1)
-    g = pullback(RamifyY(1, 2, 1), f)
+    g = RamifyY(1, 2, 1).pullback(f)
     assert g.eq_mod_precision(ps("y1^2", 1, 1))
 
 
@@ -186,9 +184,9 @@ def test_pullback_matches_composition_numerically():
         down_sig = t.result_sig(up_sig)
         for _ in range(10):
             f = random_series(rng, up_sig, nterms=3, fractional_x=False)
-            g = pullback(t, f)
+            g = t.pullback(f)
             q = _sample(rng, down_sig)
-            p = forward_point(t, q, up_sig)
+            p = t.forward_point_sig(q, up_sig)
             ev_up = evaluate(f, p)
             ev_down = evaluate(g, q)
             tol = float(ev_up.tail_bound) + float(ev_down.tail_bound) + 1e-9
@@ -415,8 +413,9 @@ def test_transform_json_is_pinned():
         ({"kind": "ramify_y", "i": 1, "d": "2", "sign": 1}, "d"),
         ({"kind": "linear", "i": 2, "c": ["x"]}, "c"),
         ({"i": 2, "j": 1, "lam": "0"}, "kind"),
+        ({"kind": "tschirnhausen", "h": "x1", "h_sig": [1, 0], "j": 0}, "h_prec"),
     ],
-    ids=["missing-lam", "str-degree", "bad-coefficient", "no-kind"],
+    ids=["missing-lam", "str-degree", "bad-coefficient", "no-kind", "no-h-prec"],
 )
 def test_malformed_transform_json_raises_transform_error(d, field):
     with pytest.raises(TransformError, match=repr(field)) as err:
@@ -435,9 +434,9 @@ def test_chain_json_roundtrip():
 
 def test_validate_rejects_bad_indices():
     with pytest.raises(TransformError):
-        pullback(BlowUpYX(2, 1, 0), ps("y1", 1, 1))
+        BlowUpYX(2, 1, 0).pullback(ps("y1", 1, 1))
     with pytest.raises(TransformError):
-        pullback(RamifyX(2, Fraction(2)), ps("x1", 1, 0))
+        RamifyX(2, Fraction(2)).pullback(ps("x1", 1, 0))
 
 
 def test_blowup_xx_rejects_negative_infinity():
