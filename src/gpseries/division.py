@@ -135,6 +135,8 @@ def solve_implicit(g: Series) -> Series:
     for _ in range(max_iter):
         val = _subst_last_y(g, a)
         if val.is_zero():
+            if val.precision >= a.precision:
+                return a  # the residual check would repeat this substitution
             a = a.truncate(val.precision)
             break
         deriv = _subst_last_y(dg, a)

@@ -316,8 +316,9 @@ def _ramify_x(node: TreeNode, i: int, gamma: int | Fraction, *series: Series):
     return (node.add_child(t), *(t.pullback(s) for s in series))
 
 
-def _lowest_homogeneous(g0: Series) -> tuple[Fraction, dict]:
-    """(order, {y-exponent: coeff}) of the y-only series g0."""
+def _lowest_homogeneous(g0: Series) -> tuple[int, dict]:
+    """(order, {y-exponent: coeff}) of the y-only series g0; the order is an
+    ``int``, since every exponent of g0 is one."""
     d0 = min(total_degree(e) for e in g0.terms)
     part = {e[1]: c for e, c in g0.terms.items() if total_degree(e) == d0}
     return d0, part
@@ -415,10 +416,7 @@ class _Engine:
         if n == 0 or g0.is_zero():
             yield from self._principalize(node, f, g, depth)
             return
-        d0f, part = _lowest_homogeneous(g0)
-        if d0f.denominator != 1:
-            raise EngineError("y-only part has fractional order")
-        d0 = int(d0f)
+        d0, part = _lowest_homogeneous(g0)
         if g.precision <= d0:
             raise PrecisionExhausted(
                 f"truncation order {g.precision} cannot certify regularity of order {d0}"

@@ -75,10 +75,10 @@ def _fractional(terms) -> bool:
     return any(type(e) is Fraction for xs, _ in terms for e in xs)
 
 
-def total_degree(exp: Exponent) -> Fraction:
-    """Sum of all exponents, as a Fraction; integral exponents are ints, so
-    this is an int sum unless some x-exponent is fractional."""
-    return Fraction(sum(exp[0]) + sum(exp[1]))
+def total_degree(exp: Exponent) -> Rational:
+    """Sum of all exponents: an ``int`` when every exponent is one, else a
+    ``Fraction``; exact either way, so it compares exactly with a precision."""
+    return sum(exp[0]) + sum(exp[1])
 
 
 class Series:
@@ -99,12 +99,14 @@ class Series:
     ``substitute_y``, the transform pullbacks and the splitting helpers of the
     division and monomialisation layers build their results this way; only
     arithmetic on fractional x-exponents can give an integral ``Fraction``,
-    so only there is an exponent re-canonicalised.
+    so only there is an exponent re-canonicalised.  A degree is the plain
+    sum ``total_degree``, an ``int`` unless some x-exponent is fractional.
 
     Result precision by operation (``p`` is an operand's precision):
 
     * sum: the smaller ``p`` (``__add__``);
     * product: ``min(pa + ord b, pb + ord a)`` (``_product_precision``);
+    * cut product ``_mul(b, P)``: ``min(pa + ord b, pb + ord a, P)``;
     * negation, ``scale``, ``insert_y``, ``set_to_zero``: ``p``;
     * ``truncate(q)``: ``min(p, q)``;
     * division by ``X^b``: ``p - deg b`` (``divide_monomial``; ``partial_y``
@@ -166,8 +168,9 @@ class Series:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def order(self) -> Optional[Fraction]:
-        """Minimal total degree of the support, or None for the zero series."""
+    def order(self) -> Optional[Rational]:
+        """Minimal total degree of the support (a ``total_degree``), or None
+        for the zero series."""
         if not self.terms:
             return None
         return min(total_degree(e) for e in self.terms)
@@ -210,6 +213,12 @@ class Series:
         return self + (-other)
 
     def __mul__(self, other: "Series") -> "Series":
+        return self._mul(other)
+
+    def _mul(self, other: "Series", cut: Optional[Fraction] = None) -> "Series":
+        """The product; with ``cut``, ``(self * other).truncate(cut)`` without
+        building a term of degree >= ``cut``: a key's terms share its degree,
+        so the kept keys, their order and the precision are the same."""
         self._require_same_sig(other)
         deg_a = [total_degree(e) for e in self.terms]
         deg_b = [total_degree(e) for e in other.terms]
@@ -217,6 +226,8 @@ class Series:
             self.precision, min(deg_a, default=None),
             other.precision, min(deg_b, default=None),
         )
+        if cut is not None:
+            prec = min(prec, cut)
         b_terms = list(zip(other.terms.items(), deg_b))
         # only two fractional x-exponents sum to an integer, as in x^(1/2) * x^(1/2)
         canon = _fractional(other.terms) and _fractional(self.terms)
@@ -315,7 +326,7 @@ def _pruned(
 
 
 def _product_precision(
-    pa: Fraction, oa: Optional[Fraction], pb: Fraction, ob: Optional[Fraction]
+    pa: Fraction, oa: Optional[Rational], pb: Fraction, ob: Optional[Rational]
 ) -> Fraction:
     """Propagated precision of a product: min(pa + ord(b), pb + ord(a))."""
     candidates = []
@@ -329,7 +340,7 @@ def _product_precision(
 
 
 def _substitution_precision(
-    precision: Fraction, orders: Sequence[Fraction]
+    precision: Fraction, orders: Sequence[Rational]
 ) -> Fraction:
     """Propagated precision of a substitution whose replacements (nonzero,
     vanishing at the origin) have the given orders: precision * min(1, orders)."""
@@ -681,8 +692,7 @@ def invert_unit(u: Series) -> Series:
     acc = constant(u.sig, 1, u.precision)
     term = constant(u.sig, 1, u.precision)
     for _ in range(steps):
-        term = term * e
-        term = term.truncate(u.precision)
+        term = term._mul(e, u.precision)
         if term.is_zero():
             break
         acc = acc + term
@@ -761,8 +771,8 @@ def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
             if k:
                 rj = powers[j]
                 while len(rj) <= k:
-                    rj.append((rj[-1] * replacements[j]).truncate(P))
-                piece = (piece * rj[k]).truncate(P)
+                    rj.append(rj[-1]._mul(replacements[j], P))
+                piece = piece._mul(rj[k], P)
         result = result + piece
     return Series._trusted(a.sig, _below(result.terms, prec), prec)
 

@@ -163,7 +163,10 @@ class _BlowUp(ElementaryTransform):
         return float(self._chart()[2])
 
     def _pull(self, f: Series, s: int, t: int, v: int, lam: Fraction) -> Series:
-        """f o (src <- tgt * (lam + v)), at f's precision."""
+        """f o (src <- tgt * (lam + v)), at f's precision.  At lam != 0 a term
+        of degree ``deg`` expands ``(lam + v)^b`` only below the first ``k``
+        with ``deg + k >= f.precision``: the image of ``v^k`` has degree
+        ``deg + k``, so every term built is below the precision."""
         sig2 = self.result_sig(f.sig)
         m2 = sig2.m
         terms = {}
@@ -179,6 +182,7 @@ class _BlowUp(ElementaryTransform):
         for (xs, ys), c in f.terms.items():
             e = [*xs, *ys]
             b = e[s]
+            room = math.ceil(f.precision - sum(e))  # the number of k kept
             if b.denominator != 1:  # only an x-x source can be fractional
                 raise NeedsRamification(
                     f"x{s + 1}-exponent {b} is fractional; ramify before the lambda chart"
@@ -189,11 +193,11 @@ class _BlowUp(ElementaryTransform):
             nxs, nys = tuple(e[:m2]), e[m2:]  # v is a y-position
             if b not in powers:
                 powers[b] = [math.comb(b, k) * lam ** (b - k) for k in range(b + 1)]
-            for k, coeff in enumerate(powers[b]):
+            for k, coeff in zip(range(room), powers[b]):
                 nys[v - m2] = k
                 key = (nxs, tuple(nys))
                 terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return _pruned(sig2, terms, f.precision)
+        return Series._trusted(sig2, {key: c for key, c in terms.items() if c}, f.precision)
 
     def _forward(self, p: Sequence, s: int, t: int, v: int, lam: Fraction) -> Point:
         w = p[v]

@@ -25,6 +25,7 @@ from gpseries.series import (
     render,
     set_to_zero,
     substitute_y,
+    total_degree,
 )
 from gpseries.division import (
     solve_implicit,
@@ -62,7 +63,14 @@ def assert_canonical(r: Series) -> None:
                 assert type(e) is Fraction and e.denominator > 1 and e > 0, xs
         assert all(type(e) is int and e >= 0 for e in ys), ys
         assert type(c) is Fraction and c != 0
-        assert sum(xs, Fraction(0)) + sum(ys) < r.precision
+        # a degree is the exact sum, an int when every exponent is one
+        degree = total_degree((xs, ys))
+        assert degree == sum(xs, Fraction(0)) + sum(ys) < r.precision
+        assert type(degree) is (int if all(type(e) is int for e in xs) else Fraction)
+    degrees = [total_degree(e) for e in r.terms]
+    assert r.order() == min(degrees, default=None)
+    if degrees and all(type(d) is int for d in degrees):
+        assert type(r.order()) is int
     again = Series(r.sig, r.terms, r.precision)
     assert again == r
     assert list(again.terms) == list(r.terms)

@@ -173,6 +173,40 @@ def test_order_and_constant_term():
     assert zero(SIG11, 8).order() is None
 
 
+def test_degrees_are_exact_sums_and_int_when_every_exponent_is():
+    cases = [
+        (((1, 2), (3,)), 6, int),
+        (((0, 0), (0,)), 0, int),
+        (((Fraction(1, 2), 1), (2,)), Fraction(7, 2), Fraction),
+        (((Fraction(1, 2), Fraction(1, 2)), (0,)), 1, Fraction),
+    ]
+    for exp, degree, kind in cases:
+        assert total_degree(exp) == degree and type(total_degree(exp)) is kind
+    assert type(ps("x1^2*y1 + x1*y1^3", 1, 1).order()) is int
+    assert ps("x1^(3/2) + x1^2", 1, 1).order() == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("sig", [Signature(0, 1), SIG11, Signature(1, 2), SIG21], ids=str)
+def test_cut_product_is_the_truncated_product(sig):
+    # operands at unequal precisions, fractional x-exponents, a zero operand,
+    # and cuts below, at and above the product precision
+    rng = random.Random(31 * sig.m + sig.n)
+    dropped = 0
+    for _ in range(80):
+        a, b = (random_series(rng, sig, Fraction(rng.randint(2, 12), rng.choice([1, 2])),
+                              nterms=rng.randint(0, 7)) for _ in range(2))
+        full = a * b
+        for cut in (Fraction(rng.randint(1, 14), rng.choice([1, 2, 3])),
+                    full.precision, full.precision + 1, full.precision - Fraction(1, 2)):
+            if cut <= 0:
+                continue
+            want, got = full.truncate(cut), a._mul(b, cut)
+            assert list(got.terms.items()) == list(want.terms.items()), (a, b, cut)
+            assert got.precision == want.precision and type(got.precision) is Fraction
+            dropped += len(full.terms) - len(want.terms)
+    assert dropped > 50
+
+
 def brute_min_support(s: Series):
     def leq(a, b):
         return all(u <= v for u, v in zip(a[0], b[0])) and all(

@@ -3,11 +3,12 @@
 from fractions import Fraction
 import hashlib
 import json
+import math
 import random
 
 import pytest
 
-from gpseries.series import SeriesError, Signature, evaluate
+from gpseries.series import Series, SeriesError, Signature, evaluate
 from gpseries.transforms import (
     INF,
     NEG_INF,
@@ -91,6 +92,57 @@ def test_blowup_xx_finite_chart_oracle():
     g = BlowUpXX(2, 1, 1).pullback(f)
     assert g.sig == Signature(1, 1)
     assert g.eq_mod_precision(ps("x1^2 + x1^2*y1", 1, 1))
+
+
+def _lambda_chart_reference(t, f):
+    """``(full, cut)``: f pulled back through the finite chart ``src <- tgt *
+    (lam + v)`` by the full binomial expansion of ``(lam + v)^b``, and that
+    expansion cut at f's precision."""
+    m = f.sig.m
+    sig2 = t.result_sig(f.sig)
+    if isinstance(t, BlowUpXX):  # v is a new first y-variable
+        s, tgt, v = t.i - 1, t.j - 1, sig2.m
+    else:
+        s = m + t.i - 1
+        tgt, v = (t.j - 1 if isinstance(t, BlowUpYX) else m + t.j - 1), s
+    terms = {}
+    for (xs, ys), c in f.terms.items():
+        e = list(xs + ys)
+        b = int(e.pop(s))
+        e[tgt if tgt < s else tgt - 1] += b
+        for k in range(b + 1):
+            img = e[:v] + [k] + e[v:]
+            key = (tuple(img[: sig2.m]), tuple(img[sig2.m :]))
+            terms[key] = terms.get(key, 0) + c * math.comb(b, k) * t.lam ** (b - k)
+    full = Series(sig2, terms, 10**6)
+    return full, full.truncate(f.precision)
+
+
+@pytest.mark.parametrize(
+    "t, sig",
+    [(BlowUpXX(2, 1, lam), sig) for lam in (Fraction(1, 2), 3)
+     for sig in (SIG21, Signature(2, 2))]
+    + [(BlowUpYX(i, 1, lam), sig) for lam in (-2, Fraction(1, 2), 3)
+       for i, sig in ((1, SIG11), (2, Signature(1, 2)))]
+    + [(BlowUpYY(i, j, lam), sig) for lam in (-2, Fraction(1, 2), 3)
+       for i, j, sig in ((1, 2, Signature(1, 2)), (2, 1, Signature(0, 2)))],
+    ids=repr,
+)
+def test_lambda_chart_pullback_is_the_cut_full_expansion(t, sig):
+    rng = random.Random(7)
+    dropped = 0
+    for _ in range(60):
+        f = random_series(rng, sig, Fraction(rng.randint(2, 4 * sum(sig)), rng.choice([1, 2])),
+                          nterms=rng.randint(0, 7))
+        if isinstance(t, BlowUpXX):  # the source x_i needs a natural exponent
+            f = Series(sig, {(xs[:1] + (int(xs[1]),), ys): c for (xs, ys), c in f.terms.items()},
+                       f.precision)
+        full, want = _lambda_chart_reference(t, f)
+        got = t.pullback(f)
+        assert list(got.terms.items()) == list(want.terms.items()), (t, f)
+        assert got.precision == want.precision and got.sig == want.sig
+        dropped += len(full.terms) - len(want.terms)
+    assert dropped > 10
 
 
 def test_blowup_xx_finite_needs_natural_exponents():
