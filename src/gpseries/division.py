@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .series import (
-    NOT_REGULAR,
     Series,
     SeriesError,
     Signature,
@@ -28,6 +27,10 @@ from .series import (
     y_var,
     zero,
 )
+
+
+#: returned by ``regular_order`` when g(0, Y) vanishes up to precision
+NOT_REGULAR = None
 
 
 class DivisionError(SeriesError):
@@ -52,7 +55,6 @@ def split_in_y(h: Series, d: int) -> tuple[Series, Series]:
     """h = low + Y^d * high with deg_Y(low) < d; returns (low, high).
 
     ``high`` keeps h's precision grid shifted down by d in the Y-exponent."""
-    j = h.sig.n
     low_terms, high_terms = {}, {}
     for (xs, ys), c in h.terms.items():
         k = ys[-1]

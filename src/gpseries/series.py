@@ -18,10 +18,6 @@ from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
-#: sentinel returned by :func:`gpseries.division.regular_order` when the
-#: restriction to the distinguished axis vanishes identically up to precision.
-NOT_REGULAR = None
-
 
 class Signature(NamedTuple):
     """Variable counts: ``m`` x-variables, ``n`` y-variables."""
@@ -97,10 +93,12 @@ class Series:
     x-exponent is an ``int`` when integral, else a ``Fraction`` (with
     denominator > 1), so each value has one type.  The ring operations,
     ``substitute_y``, the transform pullbacks and the splitting helpers of the
-    division and monomialisation layers build their results this way; only
-    arithmetic on fractional x-exponents can give an integral ``Fraction``,
-    so only there is an exponent re-canonicalised.  A degree is the plain
-    sum ``total_degree``, an ``int`` unless some x-exponent is fractional.
+    division and monomialisation layers build their results this way, and
+    the one-term charts never build an image at or past the precision
+    (``transforms._monomial_pull``).  Only arithmetic on fractional
+    x-exponents can give an integral ``Fraction``, so only there is an
+    exponent re-canonicalised.  A degree is the plain sum ``total_degree``,
+    an ``int`` unless some x-exponent is fractional.
 
     Result precision by operation (``p`` is an operand's precision):
 
@@ -310,19 +308,6 @@ def _below(
 ) -> dict[Exponent, Fraction]:
     """The terms of total degree below ``precision``, in their order."""
     return {e: c for e, c in terms.items() if total_degree(e) < precision}
-
-
-def _pruned(
-    sig: Signature, terms: dict[Exponent, Fraction], precision: Fraction
-) -> Series:
-    """Trusted series from well-formed exponents and summed ``Fraction``
-    coefficients: zero sums and terms of total degree >= ``precision`` are
-    dropped in place."""
-    return Series._trusted(
-        sig,
-        {e: c for e, c in terms.items() if c and total_degree(e) < precision},
-        precision,
-    )
 
 
 def _product_precision(

@@ -4,7 +4,8 @@ Each transformation is a map ``nu`` from a downstream coordinate space
 (signature ``(m', n')``) to an upstream one (``(m, n)``).  The pullback
 sends a series F over the upstream signature to F o nu over the downstream
 one, computed exactly on each term and truncated to a soundly propagated
-precision.
+precision.  Charts that send each monomial to one monomial share
+``_monomial_pull``, which never builds an image at or past the precision.
 
 A pullback's precision comes from the substitution rule
 (``series._substitution_precision``): charts that substitute series of order
@@ -24,7 +25,8 @@ module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
 identity; all other parameters are exact rationals.  The three blow-up
 families share one formula, ``src <- tgt * (lam + v)``, for every finite
 chart (``_BlowUp``).  In the x-x and y-y blow-ups lam = inf is the lam = 0
-chart with i and j swapped; the y-x charts at lam = +-inf add an x-variable.
+chart with i and j swapped; a y-x chart at lam = +-inf is the sign chart
+y_i <- +-x_new followed by x_j <- x_new * x_j.
 
 JSON: ``{"kind": KIND}`` plus every dataclass field, Fractions as strings,
 tuples as lists of strings, ints and infinities as they are; it is read back
@@ -39,6 +41,7 @@ import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
+from operator import add, sub
 from typing import ClassVar, Optional, Sequence, Union
 
 from .series import (
@@ -47,7 +50,6 @@ from .series import (
     SeriesError,
     Signature,
     SignatureMismatch,
-    _pruned,
     _rational_power,
     _substitution_precision,
     _value,
@@ -80,6 +82,22 @@ def _constant(v, exact, rounded):
     ``v``: its float copy ``rounded`` when ``v`` is a float, since ``exact op
     v`` would round it so, else ``exact``."""
     return rounded if isinstance(v, float) else exact
+
+
+def _monomial_pull(f: Series, sig2: Signature, precision: Fraction, rewrite) -> Series:
+    """f o nu over ``sig2`` at ``precision``, for a chart nu that sends each
+    monomial to one monomial: ``rewrite(e)`` turns a term's flat exponents
+    ``e`` (x1..xm, y1..yn) into its image's in place and says whether the sign
+    changes.  Distinct terms have distinct images, so nothing sums, and an
+    image whose degree is at or past the precision is never built."""
+    m2 = sig2.m
+    terms = {}
+    for (xs, ys), c in f.terms.items():
+        e = [*xs, *ys]
+        negate = rewrite(e)
+        if sum(e) < precision:
+            terms[(tuple(e[:m2]), tuple(e[m2:]))] = -c if negate else c
+    return Series._trusted(sig2, terms, precision)
 
 
 @dataclass(frozen=True)
@@ -135,8 +153,8 @@ class _BlowUp(ElementaryTransform):
     variable is a new first y-variable.  An x-x or y-y chart at lam = inf is
     the lam = 0 chart with i and j swapped (``_chart``).  Two charts keep
     their own code: the x-x zero chart's forward map ``x_i * x_j`` keeps int
-    points int and -0.0 signed, and the y-x charts at lam = +-inf append an
-    x-variable instead.
+    points int and -0.0 signed, and the y-x charts at lam = +-inf go through
+    the sign chart (``BlowUpYX._sign_chart``).
     """
 
     i: int
@@ -168,16 +186,17 @@ class _BlowUp(ElementaryTransform):
         with ``deg + k >= f.precision``: the image of ``v^k`` has degree
         ``deg + k``, so every term built is below the precision."""
         sig2 = self.result_sig(f.sig)
-        m2 = sig2.m
-        terms = {}
-        if lam == 0:  # one image per term
-            for (xs, ys), c in f.terms.items():
-                e = [*xs, *ys]
+        if lam == 0:  # x_s <- x_t * x_s: one image per term
+
+            def rewrite(e):
                 e[t] += e[s]
                 if type(e[t]) is Fraction:  # x^(1/2) * x^(1/2) = x^1
                     e[t] = _x_exponent(e[t])
-                terms[(tuple(e[:m2]), tuple(e[m2:]))] = c
-            return _pruned(sig2, terms, f.precision)
+                return False
+
+            return _monomial_pull(f, sig2, f.precision, rewrite)
+        m2 = sig2.m
+        terms = {}
         powers = {}  # b -> coefficients of (lam + v)^b by the power of v
         for (xs, ys), c in f.terms.items():
             e = [*xs, *ys]
@@ -285,53 +304,42 @@ class BlowUpYX(_BlowUp):
             return Signature(sig.m + 1, sig.n - 1)
         return sig
 
+    @cached_property
+    def _sign_chart(self) -> SignChart:
+        """y_i <- +-x_new, the first half of the chart at lam = +-inf."""
+        return SignChart(self.i, 1 if self.lam is INF else -1)
+
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        if isinstance(self.lam, str):
-            sign = 1 if self.lam is INF else -1
-            sig2 = self.result_sig(f.sig)
-            terms = {}
-            for (xs, ys), c in f.terms.items():
-                b = ys[self.i - 1]
-                nxs = xs + (xs[self.j - 1] + b,)
-                nys = ys[: self.i - 1] + ys[self.i :]
-                key = (nxs, nys)
-                terms[key] = terms.get(key, Fraction(0)) + c * (sign**b)
-            return _pruned(sig2, terms, f.precision)
-        s = f.sig.m + self.i - 1
-        return self._pull(f, s, self.j - 1, s, self.lam)
+        m, j = f.sig.m, self.j - 1
+        if isinstance(self.lam, str):  # the sign chart, then x_j <- x_new * x_j
+            to_x = self._sign_chart._to_x
+
+            def rewrite(e):
+                negate = to_x(e, m)
+                e[m] += e[j]
+                return negate
+
+            return _monomial_pull(f, self.result_sig(f.sig), f.precision, rewrite)
+        return self._pull(f, m + self.i - 1, j, m + self.i - 1, self.lam)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        m, n = sig
-        if isinstance(self.lam, str):
-            sign = 1 if self.lam is INF else -1
-            xnew = p[m]
-            nxs = list(p[:m])
-            nxs[self.j - 1] = xnew * p[self.j - 1]
-            nys = list(p[m + 1 :])
-            nys.insert(self.i - 1, sign * xnew)
-            return nxs + nys
-        s = m + self.i - 1
-        return self._forward(p, s, self.j - 1, s, self.lam)
+        m, j = sig.m, self.j - 1
+        if isinstance(self.lam, str):  # x_j <- x_new * x_j, then the sign chart
+            q = list(p)
+            q[j] = p[m] * p[j]
+            return self._sign_chart._forward(q, m)
+        return self._forward(p, m + self.i - 1, j, m + self.i - 1, self.lam)
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        m, n = sig
-        if isinstance(self.lam, str):
-            sign = 1 if self.lam is INF else -1
-            yi = p[m + self.i - 1]
-            xnew = sign * yi
-            if xnew <= 0:
+        m, j = sig.m, self.j - 1
+        if isinstance(self.lam, str):  # the sign chart, then x_j <- x_j / x_new
+            q = self._sign_chart._inverse(p, m)
+            if q is None or q[m] == 0:
                 return None
-            xj = p[self.j - 1] / xnew
-            if xj < 0:
-                return None
-            nxs = list(p[:m])
-            nxs[self.j - 1] = xj
-            nys = list(p[m:])
-            del nys[self.i - 1]
-            return nxs + [xnew] + nys
-        s = m + self.i - 1
-        return self._inverse(p, s, self.j - 1, s, self.lam)
+            q[j] = p[j] / q[m]
+            return None if q[j] < 0 else q
+        return self._inverse(p, m + self.i - 1, j, m + self.i - 1, self.lam)
 
 
 @dataclass(frozen=True)
@@ -466,21 +474,19 @@ class Linear(ElementaryTransform):
     def _c_float(self) -> tuple:
         return tuple(map(float, self.c))
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        m = sig.m
-        yi = p[m + self.i - 1]
+    def _shift(self, p: Sequence, sig: Signature, op) -> Point:
+        """p with ``op(y_k, c_k * y_i)`` for each y_k, k < i."""
+        yi = p[sig.m + self.i - 1]
         q = list(p)
-        for k, ck in enumerate(_constant(yi, self.c, self._c_float), start=1):
-            q[m + k - 1] = p[m + k - 1] + ck * yi
+        for k, ck in enumerate(_constant(yi, self.c, self._c_float), start=sig.m):
+            q[k] = op(p[k], ck * yi)
         return q
 
+    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
+        return self._shift(p, sig, add)
+
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        m = sig.m
-        yi = p[m + self.i - 1]
-        q = list(p)
-        for k, ck in enumerate(_constant(yi, self.c, self._c_float), start=1):
-            q[m + k - 1] = p[m + k - 1] - ck * yi
-        return q
+        return self._shift(p, sig, sub)
 
 
 @dataclass(frozen=True)
@@ -502,13 +508,13 @@ class RamifyX(ElementaryTransform):
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        prec = _substitution_precision(f.precision, [self.gamma])
-        terms = {}
-        for (xs, ys), c in f.terms.items():
-            nxs = list(xs)
-            nxs[self.i - 1] = _x_exponent(nxs[self.i - 1] * self.gamma)
-            terms[(tuple(nxs), ys)] = c
-        return _pruned(f.sig, terms, prec)
+        k, gamma = self.i - 1, self.gamma
+
+        def rewrite(e):
+            e[k] = _x_exponent(e[k] * gamma)
+            return False
+
+        return _monomial_pull(f, f.sig, _substitution_precision(f.precision, [gamma]), rewrite)
 
     @cached_property
     def _exponents(self) -> tuple:
@@ -562,12 +568,14 @@ class RamifyY(ElementaryTransform):
 
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        terms = {}
-        for (xs, ys), c in f.terms.items():
-            b = ys[self.i - 1]
-            nys = ys[: self.i - 1] + (b * self.d,) + ys[self.i :]
-            terms[(xs, nys)] = c * (self.sign**b)
-        return _pruned(f.sig, terms, f.precision)
+        k, d, negative = f.sig.m + self.i - 1, self.d, self.sign < 0
+
+        def rewrite(e):
+            b = e[k]
+            e[k] = b * d
+            return negative and b % 2 == 1
+
+        return _monomial_pull(f, f.sig, f.precision, rewrite)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m = sig.m
@@ -609,32 +617,36 @@ class SignChart(ElementaryTransform):
     def result_sig(self, sig: Signature) -> Signature:
         return Signature(sig.m + 1, sig.n - 1)
 
+    def _to_x(self, e: list, m: int) -> bool:
+        """The pullback's rewrite over m x-variables: y_i's exponent b moves
+        to the new x_{m+1}; the sign changes when b is odd and sign is -1."""
+        b = e.pop(m + self.i - 1)
+        e.insert(m, b)
+        return self.sign < 0 and b % 2 == 1
+
     def pullback(self, f: Series) -> Series:
         self.validate(f.sig)
-        sig2 = self.result_sig(f.sig)
-        terms = {}
-        for (xs, ys), c in f.terms.items():
-            b = ys[self.i - 1]
-            nxs = xs + (b,)
-            nys = ys[: self.i - 1] + ys[self.i :]
-            key = (nxs, nys)
-            terms[key] = terms.get(key, Fraction(0)) + c * (self.sign**b)
-        return _pruned(sig2, terms, f.precision)
+        m = f.sig.m
+        return _monomial_pull(f, self.result_sig(f.sig), f.precision, lambda e: self._to_x(e, m))
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        m = sig.m
+    def _forward(self, p: Sequence, m: int) -> Point:
         nys = list(p[m + 1 :])
         nys.insert(self.i - 1, self.sign * p[m])
         return list(p[:m]) + nys
 
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        m = sig.m
+    def _inverse(self, p: Sequence, m: int) -> Optional[Point]:
         v = self.sign * p[m + self.i - 1]
         if v < 0:
             return None
         nys = list(p[m:])
         del nys[self.i - 1]
         return list(p[:m]) + [v] + nys
+
+    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
+        return self._forward(p, sig.m)
+
+    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
+        return self._inverse(p, sig.m)
 
 
 _KINDS = {

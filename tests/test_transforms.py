@@ -145,6 +145,80 @@ def test_lambda_chart_pullback_is_the_cut_full_expansion(t, sig):
     assert dropped > 10
 
 
+def _one_term_reference(t, f):
+    """``(terms, precision)``: f pulled back through a chart that sends each
+    monomial to one monomial, by building every image key, summing the
+    coefficients into a dict and then dropping zero sums and images at or
+    past the precision."""
+    m = f.sig.m
+    sig2 = t.result_sig(f.sig)
+    prec = f.precision * min(1, t.gamma) if isinstance(t, RamifyX) else f.precision
+    terms = {}
+    for (xs, ys), c in f.terms.items():
+        e = list(xs + ys)
+        sign = 1
+        if isinstance(t, (BlowUpXX, BlowUpYY)) or isinstance(t, BlowUpYX) and t.lam == 0:
+            i, j = (t.j, t.i) if t.lam == INF else (t.i, t.j)  # x_i <- x_j * x_i
+            src = 0 if isinstance(t, BlowUpXX) else m
+            tgt = m if isinstance(t, BlowUpYY) else 0
+            e[tgt + j - 1] += e[src + i - 1]
+        elif isinstance(t, (BlowUpYX, SignChart)):  # y_i <- +-x_new, x_j <- x_new * x_j
+            b = e.pop(m + t.i - 1)
+            if isinstance(t, BlowUpYX):
+                sign, b_new = (1 if t.lam == INF else -1), b + xs[t.j - 1]
+            else:
+                sign, b_new = t.sign, b
+            e.insert(m, b_new)
+            sign = sign**b
+        elif isinstance(t, RamifyX):
+            e[t.i - 1] *= t.gamma
+        else:
+            b = e[m + t.i - 1]
+            e[m + t.i - 1] = b * t.d
+            sign = t.sign**b
+        e = [Fraction(v) for v in e]
+        e = [v.numerator if v.denominator == 1 else v for v in e]
+        key = (tuple(e[: sig2.m]), tuple(e[sig2.m :]))
+        terms[key] = terms.get(key, Fraction(0)) + c * sign
+    return {k: c for k, c in terms.items() if c and sum(k[0]) + sum(k[1]) < prec}, prec
+
+
+def _one_term_charts(sig):
+    m, n = sig
+    out = []
+    for i in range(1, m + 1):
+        out += [BlowUpXX(i, j, lam) for j in range(1, m + 1) if j != i for lam in (0, INF)]
+        out += [RamifyX(i, gamma) for gamma in (Fraction(1, 2), Fraction(2, 3), Fraction(3))]
+    for i in range(1, n + 1):
+        out += [BlowUpYY(i, j, lam) for j in range(1, n + 1) if j != i for lam in (0, INF)]
+        out += [BlowUpYX(i, j, lam) for j in range(1, m + 1) for lam in (0, INF, NEG_INF)]
+        out += [SignChart(i, sign) for sign in (1, -1)]
+        out += [RamifyY(i, d, sign) for d in (2, 3) for sign in (1, -1)]
+    return out
+
+
+@pytest.mark.parametrize("sig", [SIG21, Signature(1, 2), Signature(2, 2)], ids=str)
+def test_one_term_pullback_is_the_pruned_image(sig):
+    # the charts build only the images below the precision; each must equal
+    # the full build-then-prune loop in terms, dict order and precision
+    rng = random.Random(23)
+    for t in _one_term_charts(sig):
+        cut = 0
+        for _ in range(30):
+            f = random_series(rng, sig, Fraction(rng.randint(2, 4 * sum(sig)), rng.choice([1, 2])),
+                              nterms=rng.randint(0, 7), max_den=3)
+            want, prec = _one_term_reference(t, f)
+            got = t.pullback(f)
+            assert list(got.terms.items()) == list(want.items()), (t, f)
+            assert [tuple(map(type, xs)) for xs, _ in got.terms] == [
+                tuple(map(type, xs)) for xs, _ in want
+            ]
+            assert got.precision == prec and got.sig == t.result_sig(sig)
+            cut += len(f.terms) - len(want)
+        if not isinstance(t, SignChart) and not (isinstance(t, RamifyX) and t.gamma < 1):
+            assert cut > 0, t  # the chart raises degrees: some images are cut
+
+
 def test_blowup_xx_finite_needs_natural_exponents():
     f = ps("x2^(1/2)", 2, 0)
     with pytest.raises(NeedsRamification):
@@ -343,6 +417,50 @@ def test_wide_blowup_point_map_bits_are_pinned():
         (BlowUpYX(1, 2, Fraction(-3, 7)), sig22),
     ]
     assert _point_map_digest(variants, 2025) == PINNED_WIDE_POINT_MAP_SHA256
+
+
+def _one_term_variants():
+    """``SignChart``, ``BlowUpYX`` at +-inf, ``RamifyY``, ``RamifyX`` and
+    ``Linear`` at every index over four signatures, with their upstream sig."""
+    out = []
+    for sig in (Signature(1, 2), Signature(2, 2), Signature(1, 3), Signature(0, 3)):
+        m, n = sig
+        for i in range(1, n + 1):
+            out += [(SignChart(i, sign), sig) for sign in (1, -1)]
+            out += [(BlowUpYX(i, j, lam), sig) for j in range(1, m + 1) for lam in (INF, NEG_INF)]
+            out += [(RamifyY(i, d, sign), sig) for d, sign in ((2, -1), (3, 1), (3, -1))]
+            c = tuple(Fraction((-1) ** k * (k + 2), 3) for k in range(i - 1))
+            out.append((Linear(i, c), sig))
+        for i in range(1, m + 1):
+            out += [(RamifyX(i, gamma), sig) for gamma in (Fraction(1, 2), Fraction(3))]
+    return out
+
+
+# recorded on the point maps written one class at a time
+PINNED_ONE_TERM_POINT_MAP_SHA256 = "a76cd815bc4ed260f2d790fd4d7dc3c72f223e0a650816fc04d6b71e40ac213e"
+
+
+def test_one_term_point_maps_at_every_index():
+    # every y-index, not only the last: a point map that puts y_i one slot
+    # off disagrees with the pullback and changes the pinned images
+    rng = random.Random(31)
+    variants = _one_term_variants()
+    for t, up_sig in variants:
+        down_sig = t.result_sig(up_sig)
+        for _ in range(4):
+            # no image reaches the pullback's precision, so the two values
+            # differ by the tails and rounding only
+            f = random_series(rng, up_sig, prec=40, nterms=4)
+            g = t.pullback(f)
+            q = _sample(rng, down_sig)
+            ev_up = evaluate(f, t.forward_point_sig(q, up_sig))
+            ev_down = evaluate(g, q)
+            tol = float(ev_up.tail_bound) + float(ev_down.tail_bound) + 1e-12
+            assert abs(float(ev_up.value) - float(ev_down.value)) <= tol, (t, q)
+            positive = [rng.uniform(0.01, 0.9) for _ in range(sum(down_sig))]
+            back = t.inverse_point(t.forward_point_sig(positive, up_sig), up_sig)
+            assert back == pytest.approx(positive, rel=1e-12), (t, positive)
+    assert _point_map_digest(variants, 2026) == PINNED_ONE_TERM_POINT_MAP_SHA256
 
 
 @pytest.mark.parametrize(
