@@ -16,15 +16,16 @@ from .series import (
     Series,
     SeriesError,
     Signature,
+    _substitution_precision,
+    _unit_power,
     coefficients_in_y,
-    constant,
     insert_y,
     invert_unit,
     nth_root_rational,
     partial_y,
     set_to_zero,
     substitute_y,
-    y_var,
+    total_degree,
     zero,
 )
 
@@ -152,8 +153,9 @@ def solve_implicit(g: Series) -> Series:
 
 
 def unit_root(u: Series, k: int) -> Series:
-    """A series v with v^k = u, for u a unit whose constant term is an exact
-    rational k-th power (positive when k is even)."""
+    """A series v with v^k = u, for u a unit whose constant term c is an exact
+    rational k-th power q^k (positive when k is even): v = q * (u/c)^(1/k),
+    one binomial series (``series._unit_power``)."""
     if k < 1:
         raise DivisionError("root degree must be >= 1")
     if not u.is_unit():
@@ -164,17 +166,9 @@ def unit_root(u: Series, k: int) -> Series:
     q = nth_root_rational(abs(c), k)
     if q is None:
         raise DivisionError(f"constant term {c} is not a rational {k}-th power")
-    if c < 0:
-        q = -q
-    # solve (1 + W)^k = u / q^k for W with W(0) = 0
-    m, n = u.sig
-    sig2 = Signature(m, n + 1)
-    w_var = y_var(sig2, n + 1, u.precision)
-    one = constant(sig2, 1, u.precision)
-    lhs = (one + w_var) ** k
-    rhs = insert_y(u, n + 1).scale(Fraction(1) / q**k)
-    w = solve_implicit(lhs - rhs)
-    return constant(u.sig, q, w.precision) * (constant(u.sig, 1, w.precision) + w)
+    # exact to u's precision, but claimed as by an implicit solve (ROADMAP item 10)
+    prec = _substitution_precision(u.precision, [d for d in map(total_degree, u.terms) if d])
+    return _unit_power(u, Fraction(1, k), q if c > 0 else -q).truncate(prec)
 
 
 def tschirnhausen_center(g: Series, d: int) -> Series:

@@ -73,7 +73,14 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.sig = sig
-        self.precision = precision
+        # below precision 1 a degree-1 x-variable would be 0 by the time
+        # ``_power`` reads it: parse at 2 instead, and ``cut`` each result
+        self.requested = Fraction(precision)
+        self.precision = precision if self.requested > 1 else 2
+
+    def cut(self, value: Series) -> Series:
+        """A parsed series at the requested precision."""
+        return value if self.requested > 1 else value.truncate(self.requested)
 
     # -- token plumbing ---------------------------------------------------
 
@@ -247,7 +254,7 @@ def parse_series(text: str, sig: Signature, precision: Rational) -> Series:
     p = _Parser(text, sig, precision)
     value = p.expr()
     p.end_statement()
-    return value
+    return p.cut(value)
 
 
 @dataclass
@@ -263,7 +270,7 @@ def parse_basic_set(text: str, sig: Signature, precision: Rational) -> BasicSetE
     p = _Parser(text, sig, precision)
     pieces = p.setexpr()
     p.end_statement()
-    return BasicSetExpr(sig, pieces)
+    return BasicSetExpr(sig, [[(p.cut(s), rel) for s, rel in conj] for conj in pieces])
 
 
 _HEADER = re.compile(r"vars\s+x\s*:\s*(\d+)\s+y\s*:\s*(\d+)\s*;?")

@@ -113,7 +113,8 @@ class Series:
       one product per group of terms with equal replaced y-exponents; the
       terms are exact only below the smallest precision of those products,
       an over-claim (ROADMAP item 1);
-    * unit inversion: ``p`` (``invert_unit``);
+    * a power of a unit (``_unit_power``), so its inverse (``invert_unit``): ``p``;
+    * unit root: ``p * min(1, ord(u - u(0)))``, an under-claim (``unit_root``);
     * Weierstrass division: over-claims, see ROADMAP item 12.
 
     The ``_eval`` slot holds the point-independent part of ``evaluate``,
@@ -666,24 +667,32 @@ def invert_unit(u: Series) -> Series:
     c = u.constant_term()
     if c == 0:
         raise SeriesError("cannot invert: zero constant term")
-    # u = c*(1 - e) with ord(e) > 0; inverse = (1/c) * sum e^k
-    one = constant(u.sig, 1, u.precision)
-    e = one - u.scale(Fraction(1) / c)
-    # e^k has order >= k*ord(e), so it truncates to zero by k = ceil(prec/ord(e))
+    return _unit_power(u, Fraction(-1), Fraction(1) / c)
+
+
+def _unit_power(u: Series, alpha: Fraction, scale: Fraction) -> Series:
+    """``scale * (u/c)^alpha`` modulo u's precision p, for a unit u with
+    ``c = u(0)``: the binomial series ``sum_k d_k e^k`` of ``e = 1 - u/c``,
+    ``d_k = (-1)^k binom(alpha, k)``.  Term k is term k-1 cut-multiplied by e,
+    then scaled by ``(k-1-alpha)/k``, which is 1 at alpha = -1 and skipped."""
+    e = constant(u.sig, 1, u.precision) - u.scale(Fraction(1) / u.constant_term())
+    what = "invert" if alpha == -1 else "take a root"
+    # e^k has order >= k*ord(e), so it truncates to zero by k = ceil(p/ord(e))
     o = e.order()
     if o == 0:
-        raise SeriesError("cannot invert: 1 - u/u(0) keeps a constant term")
+        raise SeriesError(f"cannot {what}: 1 - u/u(0) keeps a constant term")
     steps = 1 if o is None else math.ceil(u.precision / o) + 1
-    acc = constant(u.sig, 1, u.precision)
-    term = constant(u.sig, 1, u.precision)
-    for _ in range(steps):
+    acc = term = constant(u.sig, 1, u.precision)
+    for k in range(steps):
         term = term._mul(e, u.precision)
         if term.is_zero():
             break
+        if alpha != -1:
+            term = term.scale((k - alpha) / (k + 1))
         acc = acc + term
     else:
-        raise SeriesError(f"cannot invert: 1 - u/u(0) has no zero power in {steps} steps")
-    return acc.scale(Fraction(1) / c).truncate(u.precision)
+        raise SeriesError(f"cannot {what}: 1 - u/u(0) has no zero power in {steps} steps")
+    return acc.scale(scale)
 
 
 # -- variable embedding and substitution -------------------------------------

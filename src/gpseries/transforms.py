@@ -436,9 +436,6 @@ class Tschirnhausen(ElementaryTransform):
             "j": self.j,
         }
 
-    def __hash__(self):
-        return hash((self.KIND, self.h, self.j))
-
 
 @dataclass(frozen=True)
 class Linear(ElementaryTransform):

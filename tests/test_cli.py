@@ -51,6 +51,12 @@ def test_bad_input_exits_one(tmp_path, capsys):
     assert main(["monomialize", path]) == 1
 
 
+def test_fractional_power_at_precision_one(tmp_path, capsys):
+    path = write(tmp_path, "in.txt", "vars x:1 y:1\nx1^(1/2) + y1^2;\n")
+    assert main(["monomialize", path, "--json", "--precision", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["input"] == "x1^(1/2)"
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["monomialize", "/nonexistent/input.txt"]) == 1
 

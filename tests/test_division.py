@@ -9,8 +9,11 @@ from gpseries.series import (
     Series,
     Signature,
     constant,
+    insert_y,
     monomial,
+    nth_root_rational,
     partial_y,
+    render,
     substitute_y,
     y_var,
 )
@@ -172,6 +175,40 @@ def test_unit_root_of_unit_with_huge_constant_term():
 def test_unit_root_requires_rational_root():
     with pytest.raises(DivisionError):
         unit_root(ps("2 + y1", 1, 1), 2)
+
+
+def _newton_root(u: Series, k: int) -> Series:
+    """The root by an implicit solve, as before the binomial series: W with
+    W(0) = 0 and (1 + W)^k = u/q^k over one more y-variable, v = q * (1 + W)."""
+    c = u.constant_term()
+    q = nth_root_rational(abs(c), k) * (1 if c > 0 else -1)
+    m, n = u.sig
+    sig2 = Signature(m, n + 1)
+    one = constant(sig2, 1, u.precision)
+    rhs = insert_y(u, n + 1).scale(Fraction(1) / q**k)
+    w = solve_implicit((one + y_var(sig2, n + 1, u.precision)) ** k - rhs)
+    return constant(u.sig, q, w.precision) * (constant(u.sig, 1, w.precision) + w)
+
+
+@pytest.mark.parametrize("sig", [SIG11, Signature(1, 2), Signature(2, 1)], ids=str)
+def test_unit_root_is_the_newton_root(sig):
+    # same rendering and precision; fractional x-exponents give claims below p
+    rng = random.Random(23)
+    for _ in range(40):
+        k = rng.randint(1, 4)
+        q = Fraction(rng.randint(1, 4), rng.randint(1, 3)) * rng.choice([1, -1] if k % 2 else [1])
+        prec = Fraction(rng.randint(4, 12), rng.randint(1, 2))
+        rest = random_series(rng, sig, prec, nterms=rng.randint(1, 4))
+        u = rest - constant(sig, rest.constant_term() - q**k, prec)
+        v, ref = unit_root(u, k), _newton_root(u, k)
+        assert (render(v), v.precision) == (render(ref), ref.precision)
+
+
+def test_unit_root_at_precision_at_most_one():
+    # no y-derivative survives truncation at these precisions; none is needed
+    assert unit_root(ps("4 + x1", 1, 1, prec=1), 2) == constant(SIG11, 2, 1)
+    minus_eighth = ps("-1/8", 1, 1, prec=Fraction(1, 2))
+    assert unit_root(minus_eighth, 3) == constant(SIG11, Fraction(-1, 2), Fraction(1, 2))
 
 
 # -- Tschirnhausen centers -------------------------------------------------------------

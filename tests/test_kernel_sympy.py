@@ -1,9 +1,11 @@
 """Differential check of the exact kernel against sympy's ``expand``.
 
-Inputs are sparse series with integer exponents over the signatures (1,1),
-(2,1) and (1,2), drawn by hypothesis.  Each kernel result is compared, term by
-term, with the exact sympy expansion of the same polynomial expression
-truncated at the result's certified precision.
+Inputs are sparse series over the signatures (1,1), (2,1) and (1,2), drawn by
+hypothesis: with integer exponents at integer precisions, and for the root,
+the implicit solve and the monomial division also with fractional
+x-exponents at fractional precisions.  Each kernel result is compared, term by
+term, with the exact sympy expansion of the same expression truncated at the
+result's certified precision.
 """
 
 from fractions import Fraction
@@ -12,11 +14,14 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from gpseries.division import solve_implicit, unit_root
 from gpseries.series import (
     Series,
     Signature,
+    divide_monomial,
     invert_unit,
     substitute_y,
+    total_degree,
 )
 from gpseries.transforms import (
     INF,
@@ -36,6 +41,9 @@ EXAMPLES = settings(max_examples=25, deadline=None)
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 precisions = st.integers(min_value=2, max_value=7)
+int_exps = st.integers(0, 3)
+frac_exps = st.fractions(min_value=0, max_value=3, max_denominator=3)
+frac_precisions = st.fractions(min_value=Fraction(1, 2), max_value=5, max_denominator=3)
 
 
 # -- sympy side ------------------------------------------------------------------
@@ -96,25 +104,26 @@ def assert_matches(result: Series, expr):
 # -- strategies ------------------------------------------------------------------
 
 
-def int_series(sig: Signature, precision=None, no_constant=False):
-    exps = st.tuples(
-        st.tuples(*[st.integers(0, 3)] * sig.m),
-        st.tuples(*[st.integers(0, 3)] * sig.n),
-    )
+def sparse_series(sig: Signature, precision=None, no_constant=False, xexps=int_exps):
+    """Up to 4 terms; ``precision`` is a value, a strategy, or None for ``precisions``."""
+    exps = st.tuples(st.tuples(*[xexps] * sig.m), st.tuples(*[int_exps] * sig.n))
     if no_constant:
         exps = exps.filter(lambda e: any(e[0]) or any(e[1]))
-    precs = precisions if precision is None else st.just(precision)
+    if precision is None:
+        precision = precisions
+    elif not isinstance(precision, st.SearchStrategy):
+        precision = st.just(precision)
     return st.builds(
         lambda terms, p: Series(sig, terms, p),
         st.dictionaries(exps, coeffs, max_size=4),
-        precs,
+        precision,
     )
 
 
 @st.composite
 def sig_and_pair(draw):
     sig = draw(st.sampled_from(SIGS))
-    return sig, draw(int_series(sig)), draw(int_series(sig))
+    return sig, draw(sparse_series(sig)), draw(sparse_series(sig))
 
 
 # -- ring operations ---------------------------------------------------------------
@@ -148,9 +157,9 @@ def test_mul_matches_sympy(case):
 @st.composite
 def substitution(draw):
     sig = draw(st.sampled_from(SIGS))
-    a = draw(int_series(sig))
+    a = draw(sparse_series(sig))
     js = draw(st.sets(st.integers(1, sig.n), min_size=1))
-    reps = {j: draw(int_series(sig, a.precision, no_constant=True)) for j in sorted(js)}
+    reps = {j: draw(sparse_series(sig, a.precision, no_constant=True)) for j in sorted(js)}
     return a, reps
 
 
@@ -167,15 +176,16 @@ def test_substitute_y_matches_sympy(case):
     assert_matches(r, expected)
 
 
+def zero_exponent(sig: Signature):
+    return (tuple([Fraction(0)] * sig.m), tuple([0] * sig.n))
+
+
 @st.composite
 def unit(draw):
     sig = draw(st.sampled_from(SIGS))
-    u = draw(int_series(sig))
+    u = draw(sparse_series(sig))
     c = draw(coeffs.filter(lambda v: v != 0))
-    zero_exp = (tuple([Fraction(0)] * sig.m), tuple([0] * sig.n))
-    terms = dict(u.terms)
-    terms[zero_exp] = c
-    return Series(sig, terms, u.precision)
+    return Series(sig, {**u.terms, zero_exponent(sig): c}, u.precision)
 
 
 @EXAMPLES
@@ -183,10 +193,78 @@ def unit(draw):
 def test_invert_unit_matches_sympy(u):
     inv = invert_unit(u)
     assert inv.precision == u.precision
-    zero_exp = (tuple([Fraction(0)] * u.sig.m), tuple([0] * u.sig.n))
     assert truncated_terms(to_expr(u) * to_expr(inv), u.sig, inv.precision) == {
-        zero_exp: Fraction(1)
+        zero_exponent(u.sig): Fraction(1)
     }
+
+
+@st.composite
+def root_case(draw):
+    """u = q^k + c * x1^a + (more terms), with a fractional: ord(u - u(0)),
+    and with it the root's claim, may fall below 1 and below u's precision."""
+    sig = draw(st.sampled_from(SIGS))
+    k = draw(st.integers(1, 4))
+    q = draw(coeffs.filter(lambda v: v > 0 if k % 2 == 0 else v != 0))
+    rest = draw(sparse_series(sig, frac_precisions, no_constant=True, xexps=frac_exps))
+    a = draw(st.fractions(min_value=Fraction(1, 3), max_value=2, max_denominator=3))
+    lead = ((a,) + (0,) * (sig.m - 1), (0,) * sig.n)
+    terms = {**rest.terms, lead: draw(coeffs), zero_exponent(sig): q**k}
+    return Series(sig, terms, rest.precision), k
+
+
+@EXAMPLES
+@given(root_case())
+def test_unit_root_matches_sympy(case):
+    u, k = case
+    v = unit_root(u, k)
+    orders = [total_degree(e) for e in u.terms if total_degree(e)]
+    assert v.precision == u.precision * min([1, *orders])
+    assert truncated_terms(to_expr(v) ** k - to_expr(u), u.sig, v.precision) == {}
+
+
+@st.composite
+def implicit_case(draw):
+    """g = c*Y + h over a signature with a y-variable, h(0) = 0 and no pure Y
+    term, so the coefficient of Y is a unit; precision above 1."""
+    sig = draw(st.sampled_from(SIGS))
+    y_last = ((Fraction(0),) * sig.m, (0,) * (sig.n - 1) + (1,))
+    h = draw(sparse_series(
+        sig, frac_precisions.filter(lambda p: p > 1), no_constant=True, xexps=frac_exps
+    ))
+    c = draw(coeffs.filter(lambda v: v != 0))
+    terms = {e: v for e, v in h.terms.items() if e != y_last}
+    return Series(sig, {**terms, y_last: c}, h.precision)
+
+
+@EXAMPLES
+@given(implicit_case())
+def test_solve_implicit_matches_sympy(g):
+    a = solve_implicit(g)
+    residual = to_expr(g).subs(ysyms(g.sig.n)[-1], to_expr(a))
+    assert truncated_terms(residual, a.sig, a.precision) == {}
+
+
+@st.composite
+def monomial_division(draw):
+    sig = draw(st.sampled_from(SIGS))
+    b = (draw(st.tuples(*[frac_exps] * sig.m)), draw(st.tuples(*[int_exps] * sig.n)))
+    deg = total_degree(b)
+    h = draw(sparse_series(sig, frac_precisions, xexps=frac_exps))
+    shifted = {
+        (tuple(map(sum, zip(xs, b[0]))), tuple(map(sum, zip(ys, b[1])))): c
+        for (xs, ys), c in h.terms.items()
+    }
+    return Series(sig, shifted, h.precision + deg), b
+
+
+@EXAMPLES
+@given(monomial_division())
+def test_divide_monomial_matches_sympy(case):
+    f, b = case
+    quotient = divide_monomial(f, b)
+    assert quotient.precision == f.precision - total_degree(b)
+    x_b = sympy.Mul(*[v ** q(e) for v, e in zip(xsyms(f.sig.m) + ysyms(f.sig.n), b[0] + b[1])])
+    assert truncated_terms(x_b * to_expr(quotient) - to_expr(f), f.sig, f.precision) == {}
 
 
 # -- pullbacks ---------------------------------------------------------------------
@@ -261,7 +339,7 @@ def _blowup_xx(draw, sig, _):
 
 def _tschirnhausen(draw, sig, precision):
     # the center keeps f's precision, so the pullback certifies all of f's
-    h = draw(int_series(Signature(sig.m, sig.n - 1), precision, no_constant=True))
+    h = draw(sparse_series(Signature(sig.m, sig.n - 1), precision, no_constant=True))
     return Tschirnhausen(h, draw(st.integers(0, sig.n)))
 
 
@@ -299,7 +377,7 @@ TRANSFORMS = {
 def pullback_case(draw, kind):
     sigs, make = TRANSFORMS[kind]
     sig = draw(st.sampled_from(sigs))
-    f = draw(int_series(sig))
+    f = draw(sparse_series(sig))
     return sig, f, make(draw, sig, f.precision)
 
 

@@ -47,6 +47,21 @@ def test_fractional_power_of_sum_rejected():
         ps("(x1 + 1)^(1/2)", 1, 0)
 
 
+@pytest.mark.parametrize("prec", [Fraction(1), Fraction(3, 4)], ids=str)
+def test_fractional_x_exponent_at_precision_at_most_one(prec):
+    # x1 itself has degree 1, so it is parsed above precision 1 and then cut
+    root = monomial(SIG11, [Fraction(1, 2)], [0], prec)
+    assert parse_series("x1^(1/2) + y1^2", SIG11, prec) == root
+    (piece,) = parse_basic_set("x1^(1/2) - y1 > 0", SIG11, prec).pieces
+    assert piece == [(root, "GT0")]
+
+
+def test_product_keeps_its_gained_precision():
+    assert ps("x1*y1", 1, 1, prec=3).precision == 4
+    (piece,) = parse_basic_set("x1*y1 > 0", SIG11, 3).pieces
+    assert piece[0][0].precision == 4
+
+
 def test_precedence():
     assert ps("1 + 2*x1^2", 1, 0).eq_mod_precision(
         ps("1", 1, 0) + ps("x1", 1, 0) * ps("x1", 1, 0).scale(2)

@@ -308,6 +308,29 @@ def test_invert_unit_stops_on_a_broken_kernel(monkeypatch, attr, broken):
     assert time.monotonic() - start < 1.0
 
 
+def _geometric_inverse(u: Series) -> Series:
+    """The inverse as the geometric series (1/c) * sum e^k, e = 1 - u/c,
+    each power a cut product: the inversion before the binomial series."""
+    c, P = u.constant_term(), u.precision
+    e = constant(u.sig, 1, P) - u.scale(Fraction(1) / c)
+    acc = term = constant(u.sig, 1, P)
+    while not (term := term._mul(e, P)).is_zero():
+        acc = acc + term
+    return acc.scale(Fraction(1) / c).truncate(P)
+
+
+@pytest.mark.parametrize("sig", [SIG11, Signature(1, 2), SIG21], ids=str)
+def test_invert_unit_is_the_geometric_series(sig):
+    # same terms, in the same order, at the same precision
+    rng = random.Random(19)
+    for _ in range(60):
+        prec = Fraction(rng.randint(4, 16), rng.randint(1, 2))
+        u = random_unit(rng, sig, prec, nterms=rng.randint(1, 5))
+        inv, ref = invert_unit(u), _geometric_inverse(u)
+        assert list(inv.terms.items()) == list(ref.terms.items())
+        assert inv.precision == ref.precision
+
+
 def test_nth_root_rational():
     assert nth_root_rational(Fraction(4), 2) == 2
     assert nth_root_rational(Fraction(8, 27), 3) == Fraction(2, 3)

@@ -259,6 +259,18 @@ def test_tschirnhausen_pullback_precision():
     assert Tschirnhausen(ps("x1^2", 1, 0)).pullback(f).precision == f.precision
 
 
+def test_equal_tschirnhausen_transforms_hash_equal():
+    a, b = Tschirnhausen(ps("x1 + x1^2", 1, 0)), Tschirnhausen(ps("x1^2 + x1", 1, 0))
+    assert a == b and hash(a) == hash(b)
+    others = [Tschirnhausen(ps("x1", 1, 0)), Tschirnhausen(ps("x1", 1, 0), j=1)]
+    assert len({a, b, *others}) == 3
+
+
+def test_tschirnhausen_json_with_a_fractional_centre_below_precision_one():
+    t = Tschirnhausen(ps("x1^(1/2)", 1, 0, prec=1))
+    assert transform_from_json(t.to_json()) == t
+
+
 def test_sign_chart_oracle():
     # y1 <- -x2: the y-variable becomes a new nonnegative x-variable
     f = ps("y1 + y1^2", 1, 1)
