@@ -46,6 +46,7 @@ from .series import (
     SeriesError,
     Signature,
     _leq,
+    _over_lcm,
     coefficients_in_y,
     common_monomial,
     divide_monomial,
@@ -158,9 +159,7 @@ def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     if len(nonzero) < 2:
         return []
     coeffs = coeffs[nonzero[0] : nonzero[-1] + 1]
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (denom_lcm // c.denominator) for c in coeffs]
-    f = _squarefree_part(_primitive(ints))
+    f = _squarefree_part(_primitive(_over_lcm(coeffs)[1]))
     d, ad = len(f) - 1, f[-1]
     g = [c * ad ** (d - 1 - k) for k, c in enumerate(f[:-1])] + [1]
     return sorted(Fraction(s, ad) for s in _integer_roots(g))

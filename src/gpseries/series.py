@@ -71,6 +71,13 @@ def _fractional(terms) -> bool:
     return any(type(e) is Fraction for xs, _ in terms for e in xs)
 
 
+def _over_lcm(coeffs) -> tuple[int, list[int]]:
+    """``(L, ns)``: the rationals ``coeffs`` as the integers ``ns`` over the lcm
+    ``L`` of their denominators (1 when there are none)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def total_degree(exp: Exponent) -> Rational:
     """Sum of all exponents: an ``int`` when every exponent is one, else a
     ``Fraction``; exact either way, so it compares exactly with a precision."""
@@ -116,6 +123,14 @@ class Series:
     * a power of a unit (``_unit_power``), so its inverse (``invert_unit``): ``p``;
     * unit root: ``p * min(1, ord(u - u(0)))``, an under-claim (``unit_root``);
     * Weierstrass division: over-claims, see ROADMAP item 12.
+
+    A product sums integers: each operand's coefficients are written as
+    integer numerators over the lcm of their denominators (``_over_lcm``),
+    ``_mul`` adds ``na * nb`` per key as ``int``s over ``lcm(a) * lcm(b)`` and
+    builds one ``Fraction`` per key whose sum is nonzero.  A term of ``b`` is
+    kept beside a term of degree ``da`` when its degree ``db`` is below
+    ``prec - da``; when every ``db`` is an ``int`` that is ``db < ceil(prec -
+    da)``, an integer comparison.
 
     The ``_eval`` slot holds the point-independent part of ``evaluate``,
     built on the first evaluation; it takes no part in equality or hashing.
@@ -227,28 +242,24 @@ class Series:
         )
         if cut is not None:
             prec = min(prec, cut)
-        b_terms = list(zip(other.terms.items(), deg_b))
+        la, nums_a = _over_lcm(self.terms.values())
+        lb, nums_b = _over_lcm(other.terms.values())
+        b_terms = list(zip(other.terms, nums_b, deg_b))
         # only two fractional x-exponents sum to an integer, as in x^(1/2) * x^(1/2)
-        canon = _fractional(other.terms) and _fractional(self.terms)
-        xadd = (lambda p, q: _x_exponent(p + q)) if canon else add
-        terms: dict[Exponent, Fraction] = {}
-        cancelled = False
+        frac_b = _fractional(other.terms)
+        xadd = (lambda p, q: _x_exponent(p + q)) if frac_b and _fractional(self.terms) else add
+        sums: dict[Exponent, int] = {}
         # a-outer, b-inner; a sum that cancels keeps its slot until the end
-        for ((xa, ya), ca), da in zip(self.terms.items(), deg_a):
-            room = prec - da
-            for ((xb, yb), cb), db in b_terms:
+        for (xa, ya), na, da in zip(self.terms, nums_a, deg_a):
+            # an int degree db is below prec - da exactly when it is below the ceiling
+            room = prec - da if frac_b else math.ceil(prec - da)
+            for (xb, yb), nb, db in b_terms:
                 if not db < room:
                     continue
                 exp = (tuple(map(xadd, xa, xb)), tuple(map(add, ya, yb)))
-                c = ca * cb
-                if exp in terms:
-                    c += terms[exp]
-                    if not c:
-                        cancelled = True
-                terms[exp] = c
-        if cancelled:
-            terms = {e: c for e, c in terms.items() if c}
-        return Series._trusted(self.sig, terms, prec)
+                sums[exp] = sums.get(exp, 0) + na * nb
+        den = la * lb
+        return Series._trusted(self.sig, {e: Fraction(n, den) for e, n in sums.items() if n}, prec)
 
     def scale(self, c: Rational) -> "Series":
         c = Fraction(c)
@@ -535,8 +546,8 @@ def _ratio(p, pos: int) -> tuple[int, int]:
         if type(p) is float:
             return p.as_integer_ratio()
         q = p if type(p) is Fraction else Fraction(p)
-    except (ValueError, OverflowError):
-        raise SeriesError(f"coordinate {p!r} at position {pos} is not finite") from None
+    except (ValueError, OverflowError, TypeError):
+        raise SeriesError(f"coordinate {p!r} at position {pos} is not a finite number") from None
     return q.numerator, q.denominator
 
 
@@ -568,9 +579,8 @@ def _eval_table(a: Series) -> _EvalTable:
         width = a.sig.m + a.sig.n
         top = [max((es[k] for es in exps), default=0) for k in range(width)]
         active = tuple(k for k in range(width) if top[k])
-        den = math.lcm(*(c.denominator for c in coeffs))
-        rows = sorted(((tuple(es[k] for k in active), c.numerator * (den // c.denominator))
-                       for c, es in zip(coeffs, exps)), reverse=True)
+        den, nums = _over_lcm(coeffs)
+        rows = sorted(((tuple(es[k] for k in active), n) for n, es in zip(nums, exps)), reverse=True)
         table = _EvalTable(_horner(rows), active, tuple(top[k] for k in active), den, csum, fprec)
     object.__setattr__(a, "_eval", table)
     return table

@@ -50,6 +50,7 @@ from .series import (
     SeriesError,
     Signature,
     SignatureMismatch,
+    _over_lcm,
     _rational_power,
     _substitution_precision,
     _value,
@@ -184,7 +185,13 @@ class _BlowUp(ElementaryTransform):
         """f o (src <- tgt * (lam + v)), at f's precision.  At lam != 0 a term
         of degree ``deg`` expands ``(lam + v)^b`` only below the first ``k``
         with ``deg + k >= f.precision``: the image of ``v^k`` has degree
-        ``deg + k``, so every term built is below the precision."""
+        ``deg + k``, so every term built is below the precision.
+
+        The sums are taken in integers.  With f's coefficients as integers
+        over their lcm ``L``, ``lam = p/q`` and ``B`` the largest source
+        exponent, the coefficient of ``v^k`` in ``(lam + v)^b`` is the integer
+        ``comb(b, k) * p^(b-k) * q^(B-b+k)`` over ``q^B``; each kept key gets
+        one ``Fraction`` over ``L * q^B``."""
         sig2 = self.result_sig(f.sig)
         if lam == 0:  # x_s <- x_t * x_s: one image per term
 
@@ -196,10 +203,13 @@ class _BlowUp(ElementaryTransform):
 
             return _monomial_pull(f, sig2, f.precision, rewrite)
         m2 = sig2.m
-        terms = {}
-        powers = {}  # b -> coefficients of (lam + v)^b by the power of v
-        for (xs, ys), c in f.terms.items():
-            e = [*xs, *ys]
+        flat = [[*xs, *ys] for xs, ys in f.terms]
+        L, nums = _over_lcm(f.terms.values())
+        p, q = lam.numerator, lam.denominator
+        B = math.ceil(max((e[s] for e in flat), default=0))  # a fractional one raises below
+        sums = {}
+        powers = {}  # b -> numerators of (lam + v)^b over q^B by the power of v
+        for e, nc in zip(flat, nums):
             b = e[s]
             room = math.ceil(f.precision - sum(e))  # the number of k kept
             if b.denominator != 1:  # only an x-x source can be fractional
@@ -211,12 +221,13 @@ class _BlowUp(ElementaryTransform):
                 e.insert(v, e.pop(s))
             nxs, nys = tuple(e[:m2]), e[m2:]  # v is a y-position
             if b not in powers:
-                powers[b] = [math.comb(b, k) * lam ** (b - k) for k in range(b + 1)]
+                powers[b] = [math.comb(b, k) * p ** (b - k) * q ** (B - b + k) for k in range(b + 1)]
             for k, coeff in zip(range(room), powers[b]):
                 nys[v - m2] = k
                 key = (nxs, tuple(nys))
-                terms[key] = terms.get(key, Fraction(0)) + c * coeff
-        return Series._trusted(sig2, {key: c for key, c in terms.items() if c}, f.precision)
+                sums[key] = sums.get(key, 0) + nc * coeff
+        den = L * q**B
+        return Series._trusted(sig2, {key: Fraction(n, den) for key, n in sums.items() if n}, f.precision)
 
     def _forward(self, p: Sequence, s: int, t: int, v: int, lam: Fraction) -> Point:
         w = p[v]
@@ -520,6 +531,8 @@ class RamifyX(ElementaryTransform):
         return (self.gamma, float(self.gamma)), (inverse, float(inverse))
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
+        if p[self.i - 1] < 0:  # -0.0 is not: it maps to 0
+            raise TransformError(f"negative x-coordinate {p[self.i - 1]} at position {self.i}")
         q = list(p)
         q[self.i - 1] = _power_numeric(p[self.i - 1], *self._exponents[0])
         return q

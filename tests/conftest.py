@@ -26,8 +26,10 @@ def random_series(
     nterms: int = 4,
     max_den: int = 2,
     fractional_x: bool = True,
+    coeff_den: int = 3,
 ) -> Series:
-    """Sparse random series with small exact-rational coefficients."""
+    """Sparse random series with small exact-rational coefficients, of
+    denominators up to ``coeff_den``."""
     terms = {}
     for _ in range(nterms):
         xs = tuple(
@@ -35,7 +37,7 @@ def random_series(
             for _ in range(sig.m)
         )
         ys = tuple(rng.randint(0, 4) for _ in range(sig.n))
-        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        coeff = Fraction(rng.randint(-5, 5), rng.randint(1, coeff_den))
         terms[(xs, ys)] = terms.get((xs, ys), Fraction(0)) + coeff
     return Series(sig, terms, Fraction(prec))
 

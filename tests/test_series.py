@@ -207,6 +207,81 @@ def test_cut_product_is_the_truncated_product(sig):
     assert dropped > 50
 
 
+def _fraction_product(a: Series, b: Series, cut=None) -> tuple[Series, int]:
+    """``(a._mul(b, cut), number of sums that ended at 0)`` by a loop over
+    ``Fraction`` coefficients: a-outer, b-inner, a term kept when its degree
+    is below the precision, a sum that reaches 0 keeping its slot, and the
+    zero sums dropped at the end."""
+    orders = [(a.precision, b.order()), (b.precision, a.order())]
+    prec = min([p + o for p, o in orders if o is not None] or [a.precision, b.precision])
+    if cut is not None:
+        prec = min(prec, cut)
+
+    def canon(q):
+        return q.numerator if q.denominator == 1 else q
+
+    terms = {}
+    for (xa, ya), ca in a.terms.items():
+        for (xb, yb), cb in b.terms.items():
+            if total_degree((xa, ya)) + total_degree((xb, yb)) < prec:
+                exp = (tuple(canon(Fraction(p + q)) for p, q in zip(xa, xb)),
+                       tuple(p + q for p, q in zip(ya, yb)))
+                terms[exp] = terms.get(exp, Fraction(0)) + ca * cb
+    kept = {e: c for e, c in terms.items() if c}
+    return Series._trusted(a.sig, kept, prec), len(terms) - len(kept)
+
+
+def _negate_one_term(rng, a: Series) -> Series:
+    """``a`` with one term negated: ``(P + t) * (P - t)`` cancels its cross terms."""
+    if not a.terms:
+        return a
+    flip = rng.choice(list(a.terms))
+    return Series(a.sig, {e: -c if e == flip else c for e, c in a.terms.items()}, a.precision)
+
+
+def _parts(s: Series):
+    return (list(s.terms.items()), [tuple(map(type, xs)) for xs, _ in s.terms],
+            s.precision, type(s.precision))
+
+
+@pytest.mark.parametrize(
+    "sig", [Signature(0, 1), SIG11, Signature(1, 2), SIG21, Signature(2, 2)], ids=str
+)
+def test_integer_product_is_the_fraction_product(sig):
+    # coefficient denominators up to 7, fractional x-exponents, precisions
+    # with denominators 1-3, zero operands, pairs built to cancel, and cuts
+    # below, at and above the product precision
+    rng = random.Random(97 * sig.m + sig.n)
+    cancelled = fractional = 0
+    for _ in range(120):
+        a = random_series(rng, sig, Fraction(rng.randint(2, 14), rng.randint(1, 3)),
+                          nterms=rng.randint(0, 7), max_den=3, coeff_den=7)
+        b = (_negate_one_term(rng, a) if rng.random() < 0.4 else
+             random_series(rng, sig, Fraction(rng.randint(2, 14), rng.randint(1, 3)),
+                           nterms=rng.randint(0, 7), max_den=3, coeff_den=7))
+        want, zeros = _fraction_product(a, b)
+        assert _parts(a * b) == _parts(want), (a, b)
+        cancelled += zeros > 0
+        fractional += any(type(e) is Fraction for xs, _ in want.terms for e in xs)
+        for cut in (Fraction(rng.randint(1, 14), rng.randint(1, 3)),
+                    want.precision, want.precision + 1, want.precision - Fraction(1, 3)):
+            if cut > 0:
+                assert _parts(a._mul(b, cut)) == _parts(_fraction_product(a, b, cut)[0]), (a, b, cut)
+    assert cancelled > 10 and (fractional > 10 or not sig.m)
+
+
+def test_a_sum_that_reaches_zero_keeps_its_first_slot():
+    # x1*y1 gets 1, then -1 (sum 0), then 3 from the last term of a: it stays first
+    x, y, one = ((1,), (0,)), ((0,), (1,)), ((0,), (0,))
+    xy = ((1,), (1,))
+    a = Series(SIG11, {x: 1, y: -1, xy: 3}, 10)
+    b = Series(SIG11, {y: 1, x: 1, one: 1}, 10)
+    got = a * b
+    assert list(got.terms) == [xy, ((2,), (0,)), x, ((0,), (2,)), y, ((1,), (2,)), ((2,), (1,))]
+    assert got.terms[xy] == 3
+    assert _parts(got) == _parts(_fraction_product(a, b)[0])
+
+
 def brute_min_support(s: Series):
     def leq(a, b):
         return all(u <= v for u, v in zip(a[0], b[0])) and all(
@@ -534,6 +609,13 @@ def test_evaluate_rejects_non_finite_coordinates(bad, evaluator):
         evaluator(ps("x1^(1/2)*y1", 1, 1), [0.25, bad])
     with pytest.raises(SeriesError, match="negative x-coordinate"):
         evaluator(a, [-0.5, 0.5])
+
+
+@pytest.mark.parametrize("evaluator", [evaluate, _evaluate_rounded])
+def test_evaluate_rejects_coordinates_that_are_not_numbers(evaluator):
+    for point, pos in (([None, 1], 1), ([0.5, "y"], 2), ([0.5, [1]], 2)):
+        with pytest.raises(SeriesError, match=f"at position {pos} is not a finite number"):
+            evaluator(x_var(SIG11, 1, 4), point)
 
 
 def test_evaluate_tail_bound_overflows_to_infinity():

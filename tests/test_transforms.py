@@ -95,9 +95,11 @@ def test_blowup_xx_finite_chart_oracle():
 
 
 def _lambda_chart_reference(t, f):
-    """``(full, cut)``: f pulled back through the finite chart ``src <- tgt *
-    (lam + v)`` by the full binomial expansion of ``(lam + v)^b``, and that
-    expansion cut at f's precision."""
+    """``(full, cut, loop)``: f pulled back through the finite chart ``src <-
+    tgt * (lam + v)`` by the full binomial expansion of ``(lam + v)^b``, that
+    expansion cut at f's precision, and the loop over ``Fraction``
+    coefficients that expands each term only below the first ``k`` at or past
+    the precision, a sum that reaches 0 keeping its slot until the end."""
     m = f.sig.m
     sig2 = t.result_sig(f.sig)
     if isinstance(t, BlowUpXX):  # v is a new first y-variable
@@ -105,44 +107,66 @@ def _lambda_chart_reference(t, f):
     else:
         s = m + t.i - 1
         tgt, v = (t.j - 1 if isinstance(t, BlowUpYX) else m + t.j - 1), s
-    terms = {}
+    terms, loop = {}, {}
     for (xs, ys), c in f.terms.items():
         e = list(xs + ys)
+        deg = sum(e)
         b = int(e.pop(s))
         e[tgt if tgt < s else tgt - 1] += b
         for k in range(b + 1):
             img = e[:v] + [k] + e[v:]
             key = (tuple(img[: sig2.m]), tuple(img[sig2.m :]))
-            terms[key] = terms.get(key, 0) + c * math.comb(b, k) * t.lam ** (b - k)
+            coeff = c * math.comb(b, k) * t.lam ** (b - k)
+            terms[key] = terms.get(key, 0) + coeff
+            if deg + k < f.precision:
+                loop[key] = loop.get(key, Fraction(0)) + coeff
     full = Series(sig2, terms, 10**6)
-    return full, full.truncate(f.precision)
+    kept = Series._trusted(sig2, {key: c for key, c in loop.items() if c}, f.precision)
+    return full, full.truncate(f.precision), kept
+
+
+_FINITE_LAMS = (-2, Fraction(1, 2), 3, Fraction(-5, 7), Fraction(7, 4), Fraction(-2, 3))
 
 
 @pytest.mark.parametrize(
     "t, sig",
-    [(BlowUpXX(2, 1, lam), sig) for lam in (Fraction(1, 2), 3)
+    [(BlowUpXX(2, 1, lam), sig) for lam in _FINITE_LAMS if lam > 0
      for sig in (SIG21, Signature(2, 2))]
-    + [(BlowUpYX(i, 1, lam), sig) for lam in (-2, Fraction(1, 2), 3)
+    + [(BlowUpYX(i, 1, lam), sig) for lam in _FINITE_LAMS
        for i, sig in ((1, SIG11), (2, Signature(1, 2)))]
-    + [(BlowUpYY(i, j, lam), sig) for lam in (-2, Fraction(1, 2), 3)
+    + [(BlowUpYY(i, j, lam), sig) for lam in _FINITE_LAMS
        for i, j, sig in ((1, 2, Signature(1, 2)), (2, 1, Signature(0, 2)))],
     ids=repr,
 )
 def test_lambda_chart_pullback_is_the_cut_full_expansion(t, sig):
+    # coefficient denominators up to 7 against lam's denominator q: the
+    # pullback sums over L * q^B
     rng = random.Random(7)
     dropped = 0
     for _ in range(60):
         f = random_series(rng, sig, Fraction(rng.randint(2, 4 * sum(sig)), rng.choice([1, 2])),
-                          nterms=rng.randint(0, 7))
+                          nterms=rng.randint(0, 7), coeff_den=7)
         if isinstance(t, BlowUpXX):  # the source x_i needs a natural exponent
             f = Series(sig, {(xs[:1] + (int(xs[1]),), ys): c for (xs, ys), c in f.terms.items()},
                        f.precision)
-        full, want = _lambda_chart_reference(t, f)
+        full, want, loop = _lambda_chart_reference(t, f)
         got = t.pullback(f)
         assert list(got.terms.items()) == list(want.terms.items()), (t, f)
+        assert list(got.terms.items()) == list(loop.terms.items()), (t, f)
+        assert [tuple(map(type, xs)) for xs, _ in got.terms] == [
+            tuple(map(type, xs)) for xs, _ in loop.terms]
         assert got.precision == want.precision and got.sig == want.sig
         dropped += len(full.terms) - len(want.terms)
     assert dropped > 10
+
+
+def test_lambda_chart_raises_at_the_first_fractional_source():
+    # the message names the first fractional exponent in term order
+    f = Series(Signature(2, 0), {((1, 2), ()): Fraction(1, 7), ((0, Fraction(3, 2)), ()): 1,
+                                 ((1, Fraction(1, 2)), ()): 2}, 8)
+    with pytest.raises(NeedsRamification,
+                       match=r"^x2-exponent 3/2 is fractional; ramify before the lambda chart$"):
+        BlowUpXX(2, 1, Fraction(7, 4)).pullback(f)
 
 
 def _one_term_reference(t, f):
@@ -515,6 +539,16 @@ def test_tschirnhausen_point_maps_reject_non_finite_points():
         for bad in (float("nan"), float("inf")):
             with pytest.raises(SeriesError, match="position 1"):
                 apply([bad, 0.5], SIG11)
+
+
+def test_ramify_x_forward_map_rejects_a_negative_x_coordinate():
+    t = RamifyX(1, Fraction(1, 2))
+    for bad in (-0.25, Fraction(-1, 4)):
+        with pytest.raises(TransformError, match="negative x-coordinate .* at position 1"):
+            forward_chain([t], [bad, 1.0], SIG11)
+        assert t.inverse_point([bad, 1.0], SIG11) is None
+    # -0.0 is not negative: it maps to the exact 0
+    assert forward_chain([t], [-0.0, 1.0], SIG11) == [Fraction(0), 1.0]
 
 
 def test_forward_inverse_roundtrip():
