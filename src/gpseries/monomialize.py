@@ -42,6 +42,7 @@ from typing import Optional, Sequence
 
 from .series import (
     Exponent,
+    Rational,
     Series,
     SeriesError,
     Signature,
@@ -678,7 +679,7 @@ class LeafResult:
     kind: str
     monomial: Optional[Exponent]
     unit: Optional[Series]
-    precision: Fraction
+    precision: Rational
 
 
 @dataclass

@@ -59,6 +59,18 @@ def _x_exponent(e) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
+def _precision(p) -> Rational:
+    """The precision ``p`` made canonical by ``_x_exponent``; it must be a
+    positive finite number (the precision-side twin of ``_ratio``)."""
+    try:
+        q = _x_exponent(p)
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
+        raise SeriesError(f"precision {p!r} is not a finite number") from None
+    if q <= 0:
+        raise SeriesError(f"precision must be positive, got {q}")
+    return q
+
+
 def _y_exponent(e) -> int:
     q = _x_exponent(e)
     if type(q) is not int:
@@ -95,17 +107,19 @@ class Series:
     ``Series._trusted`` skips all of that.  Only code inside the package may
     call it, and only with a result that is canonical already: a ``dict`` of
     nonzero ``Fraction`` coefficients keyed by exponents of the signature,
-    every one of total degree below a positive ``Fraction`` precision, and a
-    ``Signature``.  Exponents are canonical: y-exponents are ``int``s, and an
-    x-exponent is an ``int`` when integral, else a ``Fraction`` (with
-    denominator > 1), so each value has one type.  The ring operations,
-    ``substitute_y``, the transform pullbacks and the splitting helpers of the
-    division and monomialisation layers build their results this way, and
-    the one-term charts never build an image at or past the precision
-    (``transforms._monomial_pull``).  Only arithmetic on fractional
-    x-exponents can give an integral ``Fraction``, so only there is an
-    exponent re-canonicalised.  A degree is the plain sum ``total_degree``,
-    an ``int`` unless some x-exponent is fractional.
+    every one of total degree below a positive precision, and a
+    ``Signature``.  Exponents and the precision are canonical: y-exponents
+    are ``int``s, and an x-exponent or a precision is an ``int`` when
+    integral, else a ``Fraction`` (with denominator > 1), so each value has
+    one type (``_x_exponent``).  The ring operations, ``substitute_y``, the
+    transform pullbacks and the splitting helpers of the division and
+    monomialisation layers build their results this way, and the one-term
+    charts never build an image at or past the precision
+    (``transforms._monomial_pull``).  Only arithmetic on fractional values
+    can give an integral ``Fraction``, so only there is an exponent or a
+    precision re-canonicalised; a ``min`` of canonical values, or one less
+    an ``int``, is canonical already.  A degree is the plain sum
+    ``total_degree``, an ``int`` unless some x-exponent is fractional.
 
     Result precision by operation (``p`` is an operand's precision):
 
@@ -129,8 +143,7 @@ class Series:
     ``_mul`` adds ``na * nb`` per key as ``int``s over ``lcm(a) * lcm(b)`` and
     builds one ``Fraction`` per key whose sum is nonzero.  A term of ``b`` is
     kept beside a term of degree ``da`` when its degree ``db`` is below
-    ``prec - da``; when every ``db`` is an ``int`` that is ``db < ceil(prec -
-    da)``, an integer comparison.
+    ``prec - da``.
 
     The ``_eval`` slot holds the point-independent part of ``evaluate``,
     built on the first evaluation; it takes no part in equality or hashing.
@@ -144,9 +157,7 @@ class Series:
         terms: Mapping[Exponent, Rational],
         precision: Rational,
     ):
-        precision = Fraction(precision)
-        if precision <= 0:
-            raise SeriesError(f"precision must be positive, got {precision}")
+        precision = _precision(precision)
         clean: dict[Exponent, Fraction] = {}
         for exp, coeff in terms.items():
             exp = _check_exponent(sig, exp)
@@ -164,7 +175,7 @@ class Series:
 
     @classmethod
     def _trusted(
-        cls, sig: Signature, terms: dict[Exponent, Fraction], precision: Fraction
+        cls, sig: Signature, terms: dict[Exponent, Fraction], precision: Rational
     ) -> "Series":
         """A series from canonical parts, without validation (see the class
         docstring for what canonical means)."""
@@ -229,7 +240,7 @@ class Series:
     def __mul__(self, other: "Series") -> "Series":
         return self._mul(other)
 
-    def _mul(self, other: "Series", cut: Optional[Fraction] = None) -> "Series":
+    def _mul(self, other: "Series", cut: Optional[Rational] = None) -> "Series":
         """The product; with ``cut``, ``(self * other).truncate(cut)`` without
         building a term of degree >= ``cut``: a key's terms share its degree,
         so the kept keys, their order and the precision are the same."""
@@ -241,7 +252,7 @@ class Series:
             other.precision, min(deg_b, default=None),
         )
         if cut is not None:
-            prec = min(prec, cut)
+            prec = min(prec, _x_exponent(cut))
         la, nums_a = _over_lcm(self.terms.values())
         lb, nums_b = _over_lcm(other.terms.values())
         b_terms = list(zip(other.terms, nums_b, deg_b))
@@ -251,8 +262,7 @@ class Series:
         sums: dict[Exponent, int] = {}
         # a-outer, b-inner; a sum that cancels keeps its slot until the end
         for (xa, ya), na, da in zip(self.terms, nums_a, deg_a):
-            # an int degree db is below prec - da exactly when it is below the ceiling
-            room = prec - da if frac_b else math.ceil(prec - da)
+            room = prec - da
             for (xb, yb), nb, db in b_terms:
                 if not db < room:
                     continue
@@ -270,9 +280,7 @@ class Series:
         )
 
     def truncate(self, precision: Rational) -> "Series":
-        precision = Fraction(precision)
-        if precision <= 0:
-            raise SeriesError(f"precision must be positive, got {precision}")
+        precision = _precision(precision)
         if precision >= self.precision:
             return self
         return Series._trusted(self.sig, _below(self.terms, precision), precision)
@@ -316,15 +324,15 @@ class Series:
 
 
 def _below(
-    terms: Mapping[Exponent, Fraction], precision: Fraction
+    terms: Mapping[Exponent, Fraction], precision: Rational
 ) -> dict[Exponent, Fraction]:
     """The terms of total degree below ``precision``, in their order."""
     return {e: c for e, c in terms.items() if total_degree(e) < precision}
 
 
 def _product_precision(
-    pa: Fraction, oa: Optional[Rational], pb: Fraction, ob: Optional[Rational]
-) -> Fraction:
+    pa: Rational, oa: Optional[Rational], pb: Rational, ob: Optional[Rational]
+) -> Rational:
     """Propagated precision of a product: min(pa + ord(b), pb + ord(a))."""
     candidates = []
     if ob is not None:
@@ -333,27 +341,29 @@ def _product_precision(
         candidates.append(pb + oa)
     if not candidates:
         return min(pa, pb)
-    return min(candidates)
+    # two fractional terms can sum to an integer, as in 3/2 + 1/2
+    return _x_exponent(min(candidates))
 
 
 def _substitution_precision(
-    precision: Fraction, orders: Sequence[Rational]
-) -> Fraction:
+    precision: Rational, orders: Sequence[Rational]
+) -> Rational:
     """Propagated precision of a substitution whose replacements (nonzero,
     vanishing at the origin) have the given orders: precision * min(1, orders)."""
-    return precision * min([1, *orders])
+    return _x_exponent(precision * min([1, *orders]))
 
 
 # -- constructors ----------------------------------------------------------
 
 
 def zero(sig: Signature, precision: Rational) -> Series:
-    return Series(sig, {}, precision)
+    return Series._trusted(Signature(*sig), {}, _precision(precision))
 
 
 def constant(sig: Signature, c: Rational, precision: Rational) -> Series:
-    exp = ((0,) * sig.m, (0,) * sig.n)
-    return Series(sig, {exp: Fraction(c)}, precision)
+    c = Fraction(c)
+    terms = {((0,) * sig.m, (0,) * sig.n): c} if c else {}
+    return Series._trusted(Signature(*sig), terms, _precision(precision))
 
 
 def monomial(
@@ -546,7 +556,7 @@ def _ratio(p, pos: int) -> tuple[int, int]:
         if type(p) is float:
             return p.as_integer_ratio()
         q = p if type(p) is Fraction else Fraction(p)
-    except (ValueError, OverflowError, TypeError):
+    except (ValueError, OverflowError, TypeError, ZeroDivisionError):
         raise SeriesError(f"coordinate {p!r} at position {pos} is not a finite number") from None
     return q.numerator, q.denominator
 
@@ -657,7 +667,7 @@ def divide_monomial(a: Series, exp: Exponent) -> Series:
     """Divide by the monomial X^exp; every term must be divisible."""
     exp = _check_exponent(a.sig, exp)
     deg = total_degree(exp)
-    prec = a.precision - deg
+    prec = _x_exponent(a.precision - deg)
     if prec <= 0:
         raise SeriesError(f"precision must be positive, got {prec}")
     # x^(3/2) / x^(1/2) = x^1: only a fractional divisor needs re-canonicalising
@@ -691,7 +701,7 @@ def _unit_power(u: Series, alpha: Fraction, scale: Fraction) -> Series:
     o = e.order()
     if o == 0:
         raise SeriesError(f"cannot {what}: 1 - u/u(0) keeps a constant term")
-    steps = 1 if o is None else math.ceil(u.precision / o) + 1
+    steps = 1 if o is None else -(-u.precision // o) + 1
     acc = term = constant(u.sig, 1, u.precision)
     for k in range(steps):
         term = term._mul(e, u.precision)

@@ -18,7 +18,9 @@ and each exact chart value is rounded to a float only once: lam, c_k, gamma
 and 1/gamma keep a float copy, and a Tschirnhausen centre takes the value of
 h alone (``series._value``: exact sparse Horner, no tail bound), rounded
 once.  Python evaluates ``Fraction op float`` as ``float(Fraction) op float``,
-so the bits are those the exact values give.
+so the bits are those the exact values give.  A NaN coordinate that a map
+reads raises ``TransformError`` naming its position, at the cost of one
+comparison per coordinate read.
 
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
@@ -85,7 +87,14 @@ def _constant(v, exact, rounded):
     return rounded if isinstance(v, float) else exact
 
 
-def _monomial_pull(f: Series, sig2: Signature, precision: Fraction, rewrite) -> Series:
+def _nan(p: Sequence, *read: int) -> TransformError:
+    """The error of a point map for the first NaN among the coordinates
+    ``read`` (0-based) of ``p``."""
+    k = next(k for k in read if p[k] != p[k])
+    return TransformError(f"coordinate nan at position {k + 1} is not a number")
+
+
+def _monomial_pull(f: Series, sig2: Signature, precision: Rational, rewrite) -> Series:
     """f o nu over ``sig2`` at ``precision``, for a chart nu that sends each
     monomial to one monomial: ``rewrite(e)`` turns a term's flat exponents
     ``e`` (x1..xm, y1..yn) into its image's in place and says whether the sign
@@ -230,17 +239,22 @@ class _BlowUp(ElementaryTransform):
         return Series._trusted(sig2, {key: Fraction(n, den) for key, n in sums.items() if n}, f.precision)
 
     def _forward(self, p: Sequence, s: int, t: int, v: int, lam: Fraction) -> Point:
-        w = p[v]
+        w, a = p[v], p[t]
+        if w != w or a != a:
+            raise _nan(p, v, t)
         q = list(p)
         if v != s:  # x-x at lam > 0: y_1' becomes x_i
             q.insert(s, q.pop(v))
-        q[s] = p[t] * (_constant(w, lam, self._lam_float) + w)
+        q[s] = a * (_constant(w, lam, self._lam_float) + w)
         return q
 
     def _inverse(self, p: Sequence, s: int, t: int, v: int, lam: Fraction):
-        if p[t] == 0:
+        a, b = p[s], p[t]
+        if a != a or b != b:
+            raise _nan(p, s, t)
+        if b == 0:
             return None
-        ratio = p[s] / p[t]
+        ratio = a / b
         q = list(p)
         if v != s:  # x-x at lam > 0: x_i becomes y_1'
             q.insert(v, q.pop(s))
@@ -286,8 +300,11 @@ class BlowUpXX(_BlowUp):
         i, j, lam = self._chart()
         if lam:
             return self._forward(p, i - 1, j - 1, sig.m - 1, lam)
+        a, b = p[i - 1], p[j - 1]
+        if a != a or b != b:
+            raise _nan(p, i - 1, j - 1)
         q = list(p)
-        q[i - 1] = p[i - 1] * p[j - 1]
+        q[i - 1] = a * b
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
@@ -337,6 +354,8 @@ class BlowUpYX(_BlowUp):
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         m, j = sig.m, self.j - 1
         if isinstance(self.lam, str):  # x_j <- x_new * x_j, then the sign chart
+            if p[j] != p[j]:  # the sign chart reads x_new
+                raise _nan(p, j)
             q = list(p)
             q[j] = p[m] * p[j]
             return self._sign_chart._forward(q, m)
@@ -348,6 +367,8 @@ class BlowUpYX(_BlowUp):
             q = self._sign_chart._inverse(p, m)
             if q is None or q[m] == 0:
                 return None
+            if p[j] != p[j]:
+                raise _nan(p, j)
             q[j] = p[j] / q[m]
             return None if q[j] < 0 else q
         return self._inverse(p, m + self.i - 1, j, m + self.i - 1, self.lam)
@@ -424,6 +445,8 @@ class Tschirnhausen(ElementaryTransform):
         """Position ``k`` of y_j in ``p`` and h at the other coordinates,
         rounded once to a float when ``p[k]`` is one."""
         k = sig.m + self._index(sig) - 1
+        if p[k] != p[k]:  # _value checks the other coordinates
+            raise _nan(p, k)
         return k, _value(self.h, list(p[:k]) + list(p[k + 1 :]), isinstance(p[k], float))
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
@@ -484,9 +507,14 @@ class Linear(ElementaryTransform):
 
     def _shift(self, p: Sequence, sig: Signature, op) -> Point:
         """p with ``op(y_k, c_k * y_i)`` for each y_k, k < i."""
-        yi = p[sig.m + self.i - 1]
+        i = sig.m + self.i - 1
+        yi = p[i]
+        if yi != yi:
+            raise _nan(p, i)
         q = list(p)
         for k, ck in enumerate(_constant(yi, self.c, self._c_float), start=sig.m):
+            if p[k] != p[k]:
+                raise _nan(p, k)
             q[k] = op(p[k], ck * yi)
         return q
 
@@ -531,17 +559,23 @@ class RamifyX(ElementaryTransform):
         return (self.gamma, float(self.gamma)), (inverse, float(inverse))
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        if p[self.i - 1] < 0:  # -0.0 is not: it maps to 0
-            raise TransformError(f"negative x-coordinate {p[self.i - 1]} at position {self.i}")
+        v = p[self.i - 1]
+        if not v >= 0:  # negative or NaN; -0.0 is neither: it maps to 0
+            if v != v:
+                raise _nan(p, self.i - 1)
+            raise TransformError(f"negative x-coordinate {v} at position {self.i}")
         q = list(p)
-        q[self.i - 1] = _power_numeric(p[self.i - 1], *self._exponents[0])
+        q[self.i - 1] = _power_numeric(v, *self._exponents[0])
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        if p[self.i - 1] < 0:
+        v = p[self.i - 1]
+        if not v >= 0:
+            if v != v:
+                raise _nan(p, self.i - 1)
             return None
         q = list(p)
-        q[self.i - 1] = _power_numeric(p[self.i - 1], *self._exponents[1])
+        q[self.i - 1] = _power_numeric(v, *self._exponents[1])
         return q
 
 
@@ -588,22 +622,28 @@ class RamifyY(ElementaryTransform):
         return _monomial_pull(f, f.sig, f.precision, rewrite)
 
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        m = sig.m
+        k = sig.m + self.i - 1
+        if p[k] != p[k]:
+            raise _nan(p, k)
         q = list(p)
-        q[m + self.i - 1] = self.sign * p[m + self.i - 1] ** self.d
+        q[k] = self.sign * p[k] ** self.d
         return q
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        m = sig.m
-        v = self.sign * p[m + self.i - 1]
+        k = sig.m + self.i - 1
+        v = self.sign * p[k]
         if self.d % 2 == 1:
+            if v != v:
+                raise _nan(p, k)
             root = math.copysign(abs(float(v)) ** (1.0 / self.d), v)
         else:
-            if v < 0:
+            if not v >= 0:
+                if v != v:
+                    raise _nan(p, k)
                 return None
             root = float(v) ** (1.0 / self.d)
         q = list(p)
-        q[m + self.i - 1] = root
+        q[k] = root
         return q
 
 
@@ -640,13 +680,17 @@ class SignChart(ElementaryTransform):
         return _monomial_pull(f, self.result_sig(f.sig), f.precision, lambda e: self._to_x(e, m))
 
     def _forward(self, p: Sequence, m: int) -> Point:
+        if p[m] != p[m]:
+            raise _nan(p, m)
         nys = list(p[m + 1 :])
         nys.insert(self.i - 1, self.sign * p[m])
         return list(p[:m]) + nys
 
     def _inverse(self, p: Sequence, m: int) -> Optional[Point]:
         v = self.sign * p[m + self.i - 1]
-        if v < 0:
+        if not v >= 0:
+            if v != v:
+                raise _nan(p, m + self.i - 1)
             return None
         nys = list(p[m:])
         del nys[self.i - 1]

@@ -19,6 +19,12 @@ def ps(text: str, m: int, n: int, prec=8) -> Series:
     return parse_series(text, Signature(m, n), Fraction(prec))
 
 
+def canonical_rational(q) -> bool:
+    """Whether ``q`` has the canonical type of its value: an ``int`` when
+    integral, else a ``Fraction`` with denominator > 1."""
+    return type(q) is int or type(q) is Fraction and q.denominator > 1
+
+
 def random_series(
     rng: random.Random,
     sig: Signature,

@@ -17,6 +17,7 @@ from gpseries.series import (
     SeriesError,
     Signature,
     coefficients_in_y,
+    common_monomial,
     constant,
     divide_monomial,
     insert_y,
@@ -45,7 +46,7 @@ from gpseries.transforms import (
     SignChart,
     Tschirnhausen,
 )
-from conftest import ps, random_series, random_unit
+from conftest import canonical_rational, ps, random_series, random_unit
 
 SIGS = [Signature(1, 1), Signature(2, 1), Signature(1, 2)]
 
@@ -53,7 +54,7 @@ SIGS = [Signature(1, 1), Signature(2, 1), Signature(1, 2)]
 def assert_canonical(r: Series) -> None:
     assert type(r.sig) is Signature
     assert type(r.terms) is dict
-    assert type(r.precision) is Fraction and r.precision > 0
+    assert r.precision > 0 and canonical_rational(r.precision), r.precision
     for (xs, ys), c in r.terms.items():
         assert len(xs) == r.sig.m and len(ys) == r.sig.n
         for e in xs:
@@ -77,7 +78,7 @@ def assert_canonical(r: Series) -> None:
 
 
 def _operands(rng, sig, fractional_x=True):
-    prec = rng.choice([3, 5, Fraction(13, 2), 8])
+    prec = rng.choice([3, 5, Fraction(13, 2), Fraction(15, 2), Fraction(16, 3), 8])
     return random_series(rng, sig, prec=prec, nterms=5, fractional_x=fractional_x)
 
 
@@ -103,6 +104,7 @@ def test_substitution_and_inversion_are_canonical(sig):
         assert_canonical(substitute_y(a, reps))
         assert_canonical(invert_unit(random_unit(rng, sig)))
         for helper in (partial_y(a, 1), set_to_zero(a, zero_y=(1,)),
+                       divide_monomial(a, common_monomial(a)),
                        insert_y(a, 1), *coefficients_in_y(a, 1).values(),
                        *split_in_y(a, 2)):
             assert_canonical(helper)
@@ -126,6 +128,7 @@ def _transforms():
         (Tschirnhausen(h2, 1), Signature(1, 2)),
         (Linear(2, (Fraction(-1),)), Signature(1, 2)),
         (RamifyX(1, Fraction(1, 2)), Signature(1, 1)),
+        (RamifyX(1, Fraction(2, 3)), Signature(1, 1)),
         (RamifyX(2, Fraction(3)), Signature(2, 1)),
         (RamifyY(1, 2, -1), Signature(1, 1)),
         (SignChart(2, -1), Signature(1, 2)),

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, config handling, output determinism."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -55,6 +56,15 @@ def test_fractional_power_at_precision_one(tmp_path, capsys):
     path = write(tmp_path, "in.txt", "vars x:1 y:1\nx1^(1/2) + y1^2;\n")
     assert main(["monomialize", path, "--json", "--precision", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["input"] == "x1^(1/2)"
+
+
+def test_precision_forms_give_the_same_bytes(monkeypatch, capsys):
+    outputs = []
+    for precision in ("8", "16/2", "8.0"):
+        monkeypatch.setattr("sys.stdin", io.StringIO("vars x:1 y:1\ny1^2 - x1^3;\n"))
+        assert main(["monomialize", "-", "--precision", precision, "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[2] == outputs[0]
 
 
 def test_missing_file_exits_one(capsys):

@@ -3,6 +3,7 @@
 from fractions import Fraction
 import math
 import random
+import re
 import time
 
 import pytest
@@ -33,7 +34,8 @@ from gpseries.series import (
     y_var,
     zero,
 )
-from conftest import ps, random_series, random_unit
+from gpseries.transforms import RamifyX
+from conftest import canonical_rational, ps, random_series, random_unit
 
 SIG11 = Signature(1, 1)
 SIG21 = Signature(2, 1)
@@ -74,6 +76,35 @@ def test_terms_beyond_precision_dropped():
 def test_precision_must_be_positive():
     with pytest.raises(SeriesError):
         Series(SIG11, {}, 0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), None, "banana", "1/0"])
+def test_a_bad_precision_raises_series_error(bad):
+    # the precision twin of a bad coordinate: a SeriesError naming the value,
+    # not a raw OverflowError, TypeError, ValueError or ZeroDivisionError
+    named = re.escape(f"precision {bad!r} is not a finite number")
+    builds = (lambda: Series(SIG11, {((1,), (0,)): 1}, bad), lambda: ps("1 + x1", 1, 1).truncate(bad),
+              lambda: zero(SIG11, bad), lambda: constant(SIG11, 2, bad))
+    for build in builds:
+        with pytest.raises(SeriesError, match=named):
+            build()
+    for build in (lambda: zero(SIG11, 0), lambda: constant(SIG11, 2, Fraction(-1, 2))):
+        with pytest.raises(SeriesError, match="precision must be positive"):
+            build()
+
+
+def test_one_series_whatever_form_the_precision_is_given_in():
+    terms = {((1,), (2,)): Fraction(1, 3), ((Fraction(1, 2),), (0,)): -2, ((9,), (0,)): 5}
+    for forms, value, kind in (([8, Fraction(8), "8", "16/2", 8.0], 8, int),
+                               ([Fraction(15, 2), "15/2", "30/4", 7.5], Fraction(15, 2), Fraction)):
+        made = [Series(SIG11, terms, p) for p in forms]
+        made += [zero(SIG11, p) + m for p, m in zip(forms, made)]
+        made += [ps("1 + x1^9", 1, 1, prec=20).truncate(p) * constant(SIG11, 1, p) for p in forms]
+        for s in made[: len(forms)]:
+            assert s == made[0] and hash(s) == hash(made[0])
+            assert (render(s), repr(s), str(s.precision)) == (render(made[0]), repr(made[0]), str(value))
+        for s in made:
+            assert s.precision == value and type(s.precision) is kind, s
 
 
 def test_negative_x_exponent_rejected():
@@ -189,12 +220,17 @@ def test_degrees_are_exact_sums_and_int_when_every_exponent_is():
 @pytest.mark.parametrize("sig", [Signature(0, 1), SIG11, Signature(1, 2), SIG21], ids=str)
 def test_cut_product_is_the_truncated_product(sig):
     # operands at unequal precisions, fractional x-exponents, a zero operand,
-    # and cuts below, at and above the product precision
+    # and cuts below, at and above the product precision; then 40 more draws
+    # at non-integral precisions such as 15/2 and 16/3, with RamifyX(2/3)
+    # pullbacks, where int degrees meet Fraction precisions
     rng = random.Random(31 * sig.m + sig.n)
+    ramify = RamifyX(1, Fraction(2, 3))
     dropped = 0
-    for _ in range(80):
-        a, b = (random_series(rng, sig, Fraction(rng.randint(2, 12), rng.choice([1, 2])),
+    for dens in [[1, 2]] * 80 + [[2, 3]] * 40:
+        a, b = (random_series(rng, sig, Fraction(rng.randint(2, 12), rng.choice(dens)),
                               nterms=rng.randint(0, 7)) for _ in range(2))
+        if 3 in dens and sig.m and rng.random() < 0.5:
+            a = ramify.pullback(a)
         full = a * b
         for cut in (Fraction(rng.randint(1, 14), rng.choice([1, 2, 3])),
                     full.precision, full.precision + 1, full.precision - Fraction(1, 2)):
@@ -202,7 +238,7 @@ def test_cut_product_is_the_truncated_product(sig):
                 continue
             want, got = full.truncate(cut), a._mul(b, cut)
             assert list(got.terms.items()) == list(want.terms.items()), (a, b, cut)
-            assert got.precision == want.precision and type(got.precision) is Fraction
+            assert got.precision == want.precision and canonical_rational(got.precision)
             dropped += len(full.terms) - len(want.terms)
     assert dropped > 50
 
@@ -219,6 +255,8 @@ def _fraction_product(a: Series, b: Series, cut=None) -> tuple[Series, int]:
 
     def canon(q):
         return q.numerator if q.denominator == 1 else q
+
+    prec = canon(Fraction(prec))
 
     terms = {}
     for (xa, ya), ca in a.terms.items():
@@ -613,7 +651,7 @@ def test_evaluate_rejects_non_finite_coordinates(bad, evaluator):
 
 @pytest.mark.parametrize("evaluator", [evaluate, _evaluate_rounded])
 def test_evaluate_rejects_coordinates_that_are_not_numbers(evaluator):
-    for point, pos in (([None, 1], 1), ([0.5, "y"], 2), ([0.5, [1]], 2)):
+    for point, pos in (([None, 1], 1), ([0.5, "y"], 2), ([0.5, [1]], 2), (["1/0", 1], 1)):
         with pytest.raises(SeriesError, match=f"at position {pos} is not a finite number"):
             evaluator(x_var(SIG11, 1, 4), point)
 

@@ -551,6 +551,35 @@ def test_ramify_x_forward_map_rejects_a_negative_x_coordinate():
     assert forward_chain([t], [-0.0, 1.0], SIG11) == [Fraction(0), 1.0]
 
 
+@pytest.mark.parametrize(
+    "t, sig, forward_reads, inverse_reads",
+    [
+        (RamifyX(1, Fraction(1, 2)), SIG11, [1], [1]),
+        (BlowUpYX(1, 1, Fraction(1, 2)), SIG11, [2, 1], [2, 1]),
+        (BlowUpYX(1, 1, INF), SIG11, [1, 2], [2, 1]),
+        (BlowUpYX(1, 1, NEG_INF), SIG11, [1, 2], [2]),
+        (BlowUpXX(2, 1, 0), Signature(2, 0), [2, 1], [2, 1]),
+        (BlowUpXX(2, 1, Fraction(1, 2)), Signature(2, 0), [2, 1], [2, 1]),
+        (BlowUpXX(2, 1, INF), Signature(2, 0), [1, 2], [1, 2]),
+        (RamifyY(1, 2, -1), SIG11, [2], [2]),
+        (RamifyY(1, 3), SIG11, [2], [2]),
+        (SignChart(1, -1), SIG11, [2], [2]),
+        (BlowUpYY(1, 2, Fraction(1, 2)), Signature(0, 2), [1, 2], [1, 2]),
+        (Linear(2, (Fraction(-1),)), Signature(0, 2), [2, 1], [2, 1]),
+        (Tschirnhausen(ps("x1^2", 1, 0)), SIG11, [2], [2]),
+    ],
+    ids=lambda v: repr(v)[:40],
+)
+def test_point_maps_reject_a_nan_coordinate(t, sig, forward_reads, inverse_reads):
+    # a NaN that a map reads raises, naming its position, instead of passing on
+    for apply, reads in ((t.forward_point_sig, forward_reads), (t.inverse_point, inverse_reads)):
+        for pos in reads:
+            p = [0.5, 0.25]
+            p[pos - 1] = math.nan
+            with pytest.raises(TransformError, match=f"coordinate nan at position {pos} is not a number"):
+                apply(p, sig)
+
+
 def test_forward_inverse_roundtrip():
     rng = random.Random(7)
     chain = [BlowUpYX(1, 1, Fraction(1, 2)), Tschirnhausen(ps("x1^2", 1, 0))]
