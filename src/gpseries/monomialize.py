@@ -68,6 +68,7 @@ from .transforms import (
     NeedsRamification,
     RamifyX,
     Tschirnhausen,
+    _pull_step,
     chain_to_json,
 )
 from .trees import AdmissibleTree, DEFAULT_PALETTE, LambdaPalette, TreeNode, tree_to_json
@@ -376,7 +377,9 @@ class _Engine:
         Each step is a generator that yields ``(child, pulled series,
         depth)`` for every child it wants processed; the child's subtree is
         finished before the step resumes, so the tree, the audit and the step
-        counts come out in depth-first order, with no Python recursion."""
+        counts come out in depth-first order, with no Python recursion.
+        ``node`` loses any leaf result it held: only the engine sets one."""
+        node.payload, node.series = {}, None
         stack = [self._step(node, f, depth)]
         while stack:
             try:
@@ -762,7 +765,9 @@ def division_chain(
     inputs: Sequence[Series], options: EngineOptions = EngineOptions()
 ) -> DivisionChainResult:
     """Monomialise several series at once so that, on every branch, each
-    input becomes normal and their monomials are totally ordered by division."""
+    input becomes normal and their monomials are totally ordered by division.
+    Only the engine writes a node's ``payload`` and ``series``; the walk that
+    pulls the inputs back and refines unresolved leaves writes no node field."""
     if not inputs:
         raise EngineError("no inputs")
     sig = inputs[0].sig
@@ -777,27 +782,33 @@ def division_chain(
     engine = _Engine(options)
     tree = engine.run(prod)
     # The product being normal modulo the truncation does not force each
-    # factor to be normal there; refine any leaf where an input or a pairwise
-    # difference is still unresolved, and walk on into the children that
-    # appear.  The engine is deterministic, so a refinement that adds no
-    # children would add none on any rerun: the leaf cannot be resolved.
+    # factor to be normal there.  One walk pulls each target through each edge
+    # once, records a leaf where all are resolved, else refines it and walks
+    # on into its new children.  The engine is deterministic, so a refinement
+    # that adds no children would add none on any rerun: the leaf is stuck.
     branches = []  # (chain, leaf signature, normal form per input) per final leaf
-    for chain, leaf, pulled in tree.pulled_branches(targets):
-        forms = [normal_form(p) for p in pulled]
-        if all(nf is not None or p.is_zero() for p, nf in zip(pulled, forms)):
-            live_forms = iter(forms)
-            forms = [None if s.is_zero() else next(live_forms) for s in inputs]
-            branches.append((chain, leaf.series.sig, forms))
-            continue
-        # re-multiplying the pulled factors recovers the precision that a
-        # single pullback of the pre-multiplied product loses
-        p_leaf = _product([p for p in pulled if not p.is_zero()])
-        leaf.payload, leaf.series = {}, None
-        engine.process(leaf, p_leaf, len(chain))
-        if leaf.is_leaf():
-            raise CapExceeded(
-                f"refinement adds no chart to the branch {chain_to_json(chain)}"
-            )
+    stack = [(tree.root, [], targets)]
+    while stack:
+        node, chain, pulled = stack.pop()
+        t = node.transform
+        if t is not None:
+            chain = chain + [t]
+            pulled = [_pull_step(t, len(chain), p) for p in pulled]
+        if node.is_leaf():
+            forms = [normal_form(p) for p in pulled]
+            if all(nf is not None or p.is_zero() for p, nf in zip(pulled, forms)):
+                live_forms = iter(forms)
+                forms = [None if s.is_zero() else next(live_forms) for s in inputs]
+                branches.append((chain, pulled[0].sig, forms))
+                continue
+            # re-multiplying the pulled factors recovers the precision that a
+            # single pullback of the pre-multiplied product loses
+            engine.process(node, _product([p for p in pulled if not p.is_zero()]), len(chain))
+            if node.is_leaf():
+                raise CapExceeded(
+                    f"refinement adds no chart to the branch {chain_to_json(chain)}"
+                )
+        stack.extend((c, chain, pulled) for c in reversed(node.children))
     # The ordering check runs only once refinement has ended, as the leaf
     # records are built: an unordered leaf must not pre-empt a CapExceeded
     # that a later refinement would raise.

@@ -806,21 +806,17 @@ def render(a: Series) -> str:
         for i, e in enumerate(exp[0]):
             if e == 0:
                 continue
-            power = "" if e == 1 else f"^{e}" if e.denominator == 1 else f"^({e})"
+            # exponents are canonical: an int when integral
+            power = "" if e == 1 else f"^{e}" if type(e) is int else f"^({e})"
             factors.append(f"x{i+1}{power}")
         for j, e in enumerate(exp[1]):
             if e == 0:
                 continue
             factors.append(f"y{j+1}" + (f"^{e}" if e != 1 else ""))
-        mag = abs(c)
-        if not factors:
-            body = str(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([str(mag)] + factors)
-        sign = "-" if c < 0 else "+"
-        parts.append((sign, body))
+        num, den = c.numerator, c.denominator  # sign and magnitude, in integers
+        mag = str(abs(num)) if den == 1 else f"{abs(num)}/{den}"
+        body = "*".join(factors if factors and mag == "1" else [mag] + factors)
+        parts.append(("-" if num < 0 else "+", body))
     first_sign, first_body = parts[0]
     out = ("-" if first_sign == "-" else "") + first_body
     for sign, body in parts[1:]:

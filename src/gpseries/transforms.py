@@ -800,12 +800,18 @@ def chain_sigs(chain: Sequence[ElementaryTransform], sig: Signature) -> list[Sig
 
 def pullback_chain(chain: Sequence[ElementaryTransform], f: Series) -> Series:
     """Left-to-right composition: F o nu_1 o ... o nu_N."""
-    for idx, t in enumerate(chain):
-        try:
-            f = t.pullback(f)
-        except SeriesError as exc:
-            raise TransformError(f"step {idx + 1} ({t.describe()}): {exc}") from exc
+    for step, t in enumerate(chain, 1):
+        f = _pull_step(t, step, f)
     return f
+
+
+def _pull_step(t: ElementaryTransform, step: int, f: Series) -> Series:
+    """``t.pullback(f)`` for the ``step``-th edge of a chain; a failure
+    raises ``TransformError`` naming the step and the transform."""
+    try:
+        return t.pullback(f)
+    except SeriesError as exc:
+        raise TransformError(f"step {step} ({t.describe()}): {exc}") from exc
 
 
 def forward_chain(

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .series import Series, SeriesError, Signature
+from .series import Series, Signature
 from .transforms import (
     _json_field,
     _json_signature,
@@ -33,7 +33,8 @@ class TreeNode:
     ``payload`` holds the engine's result at a leaf, as JSON.  ``series`` is
     the engine's own series at a leaf, the one it found normal or zero there
     (None on inner nodes and on trees read back from JSON); it is not
-    serialised, compared or shown."""
+    serialised, compared or shown.  Only the engine writes the two: it sets
+    them where it stops at a leaf and clears them on a node it grows."""
 
     transform: Optional[ElementaryTransform] = None
     children: list["TreeNode"] = field(default_factory=list)
@@ -55,36 +56,16 @@ class AdmissibleTree:
     root: TreeNode = field(default_factory=TreeNode)
 
     def branches(self) -> Iterator[tuple[list[ElementaryTransform], TreeNode]]:
-        """Depth-first, left-to-right enumeration of (chain, leaf) pairs."""
-        for chain, leaf, _ in self.pulled_branches(()):
-            yield chain, leaf
-
-    def pulled_branches(self, series: Sequence[Series]):
-        """Yield (chain, leaf, pulled) for every branch, in ``branches()``
-        order; ``pulled`` holds each of ``series`` pulled back along the
-        chain, as ``pullback_chain`` would give it.  The engine's own leaf
-        series need no walk: each leaf keeps it in ``TreeNode.series``.
-
-        Every series is pulled through every edge once.  A node's pulled list
-        is made when the node is popped, so only the lists of the current path
-        and of its pending siblings' parents are alive.  A consumer may refine
-        a yielded leaf: the children it has on resumption are walked next."""
-        stack = [(self.root, [], list(series))]
+        """Depth-first, left-to-right enumeration of (chain, leaf) pairs, by
+        an explicit-stack walk."""
+        stack = [(self.root, [])]
         while stack:
-            node, chain, pulled = stack.pop()
-            t = node.transform
-            if t is not None:
-                chain = chain + [t]
-                try:
-                    pulled = [t.pullback(f) for f in pulled]
-                except SeriesError as exc:
-                    raise TransformError(
-                        f"step {len(chain)} ({t.describe()}): {exc}"
-                    ) from exc
+            node, chain = stack.pop()
+            if node.transform is not None:
+                chain = chain + [node.transform]
             if node.is_leaf():
-                yield chain, node, pulled
-            for child in reversed(node.children):
-                stack.append((child, chain, pulled))
+                yield chain, node
+            stack.extend((c, chain) for c in reversed(node.children))
 
     def leaves(self) -> list[TreeNode]:
         return [leaf for _, leaf in self.branches()]

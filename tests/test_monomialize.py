@@ -12,14 +12,16 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gpseries.series import Signature, Series, _leq, render
-from gpseries.transforms import chain_to_json, pullback_chain
+from gpseries.series import Signature, Series, SeriesError, _leq, render
+from gpseries.transforms import BlowUpYX, TransformError, chain_to_json, pullback_chain
 from gpseries.trees import tree_from_json, tree_to_json
 from gpseries.monomialize import (
     CapExceeded,
     DivisionChainResult,
     EngineError,
     EngineOptions,
+    PrecisionExhausted,
+    _Engine,
     critical_lambdas,
     division_chain,
     monomialize,
@@ -373,6 +375,68 @@ def test_division_chain_refinement_without_charts_fails_fast():
     with pytest.raises(CapExceeded, match="refinement adds no chart to the branch"):
         division_chain(pair)
     assert time.monotonic() - start < 2.0
+
+
+def test_refined_leaves_keep_no_result():
+    # family 1 refines two leaves of the product's tree; a node the engine
+    # grows holds no payload or series, and every leaf holds both
+    res = division_chain([ps(t, 1, 1) for t in CHAIN_FAMILIES[1]])
+    leaves = {id(leaf) for leaf in res.report.tree.leaves()}
+    stack = [res.report.tree.root]
+    while stack:
+        node = stack.pop()
+        stack.extend(node.children)
+        if id(node) in leaves:
+            assert node.payload and node.series is not None
+        else:
+            assert node.payload == {} and node.series is None
+
+
+def test_division_chain_names_the_step_of_a_failing_pull(monkeypatch):
+    # the walk over the finished tree pulls each input through each edge; a
+    # pull that fails there names the edge's step and transform
+    run = _Engine.run
+
+    def run_then_break(engine, f):
+        tree = run(engine, f)
+
+        def broken(t, g):
+            raise SeriesError("broken pull")
+
+        monkeypatch.setattr(BlowUpYX, "pullback", broken)
+        return tree
+
+    monkeypatch.setattr(_Engine, "run", run_then_break)
+    first = re.escape(BlowUpYX(1, 1, 0).describe())
+    with pytest.raises(TransformError, match=rf"^step 1 \({first}\): broken pull$"):
+        division_chain([ps("y1^2 - x1^2", 1, 1)])
+
+
+def _item_4_pairs():
+    # chains job sweep-09, built at precision 8: through parse_series the same
+    # text gets a higher precision and ends in CapExceeded
+    sweep_09 = [
+        Series(SIG11, {((1,), (4,)): Fraction(-1)}, 8),
+        Series(SIG11, {((2,), (1,)): Fraction(-5, 2), ((3,), (0,)): Fraction(-3, 2)}, 8),
+    ]
+    yield pytest.param(sweep_09, id="sweep-09")
+    yield pytest.param([ps("y1*y2 - x1^2", 1, 2), ps("y1", 1, 2)], id="y1*y2-x1^2,y1")
+
+
+@pytest.mark.xfail(
+    raises=EngineError, strict=True,
+    reason="leaf monomials are not ordered by division (ROADMAP item 4)",
+)
+@pytest.mark.parametrize("pair", _item_4_pairs())
+def test_division_chain_ends_cleanly(pair):
+    # the outcome contract: a chain, or PrecisionExhausted or CapExceeded,
+    # within 3 s; never an internal EngineError
+    start = time.monotonic()
+    try:
+        division_chain(pair)
+    except (PrecisionExhausted, CapExceeded):
+        pass
+    assert time.monotonic() - start < 3.0
 
 
 def test_division_chain_rejects_empty_and_mismatched():

@@ -33,6 +33,7 @@ from gpseries.series import (
     total_degree,
     zero,
 )
+from gpseries.transforms import Tschirnhausen
 from test_kernel_sympy import TRANSFORMS
 
 SIGS = [Signature(1, 1), Signature(2, 1), Signature(1, 2)]
@@ -196,6 +197,20 @@ def _pullback(kind):
     return case
 
 
+def _tschirnhausen_centre(draw):
+    """The pullback along a centre known to less than f, as a function of
+    the centre.  For example ``Tschirnhausen(x1)``, x1 over (1,0) at
+    precision 2, pulls ``y1^2 + x1*y1`` back to precision 9, and the centre
+    ``x1 + x1^2``, which agrees with x1 below degree 2, adds
+    ``2*x1^2*y1 + 3*x1^3 + x1^4`` below that claim."""
+    sig = draw(st.sampled_from(SIGS))
+    f = series(draw, sig, 8, fractional=False)
+    h_sig = Signature(sig.m, sig.n - 1)
+    h = series(draw, h_sig, draw(precisions), keep=lambda e: total_degree(e) > 0)
+    j = draw(st.integers(0, sig.n))
+    return h, perturbed(draw, h), lambda c: Tschirnhausen(c, j).pullback(f)
+
+
 def _weierstrass_divide(draw):
     sig = draw(st.sampled_from([Signature(1, 1), Signature(1, 2)]))
     g = regular(draw, sig, 8, 2)
@@ -215,9 +230,12 @@ CASES = {
     "solve_implicit(1,2)": _solve_implicit(Signature(1, 2)),
     "tschirnhausen_center": _tschirnhausen_center,
     **{f"pullback {kind}": _pullback(kind) for kind in sorted(TRANSFORMS)},
+    "pullback Tschirnhausen centre": _tschirnhausen_centre,
     "weierstrass_divide": _weierstrass_divide,
 }
 XFAIL = {
+    "pullback Tschirnhausen centre":
+        "Tschirnhausen.pullback claims more than its centre knows (ROADMAP item 1)",
     "weierstrass_divide": "weierstrass_divide over-claims its precision (ROADMAP item 12)",
 }
 

@@ -716,3 +716,59 @@ def test_render_parse_roundtrip():
         text = render(s)
         back = ps(text, 2, 1)
         assert back.eq_mod_precision(s)
+
+
+def _render_by_fractions(a: Series) -> str:
+    """``render`` as written with ``Fraction`` arithmetic on each
+    coefficient (``abs``, ``== 1``, ``< 0``) and ``e.denominator`` on each
+    x-exponent, before it read the coefficients' integer parts."""
+    if not a.terms:
+        return "0"
+    keys = sorted(a.terms, key=lambda e: (total_degree(e), e[0], e[1]))
+    parts = []
+    for exp in keys:
+        c = a.terms[exp]
+        factors = []
+        for i, e in enumerate(exp[0]):
+            if e == 0:
+                continue
+            power = "" if e == 1 else f"^{e}" if e.denominator == 1 else f"^({e})"
+            factors.append(f"x{i+1}{power}")
+        for j, e in enumerate(exp[1]):
+            if e == 0:
+                continue
+            factors.append(f"y{j+1}" + (f"^{e}" if e != 1 else ""))
+        mag = abs(c)
+        if not factors:
+            body = str(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(mag)] + factors)
+        sign = "-" if c < 0 else "+"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    out = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        out += f" {sign} {body}"
+    return out
+
+
+def test_render_matches_the_fraction_reference():
+    # every signature (0..3, 0..3), fractional x-exponents, coefficients +-1,
+    # negative and fractional ones, and the zero series
+    rng = random.Random(29)
+    seen = {"one": 0, "minus_one": 0, "fraction": 0, "x_fraction": 0, "zero": 0}
+    for m in range(4):
+        for n in range(4):
+            sig = Signature(m, n)
+            for _ in range(40):
+                s = random_series(rng, sig, nterms=rng.randint(0, 6), max_den=3, coeff_den=4)
+                assert render(s) == _render_by_fractions(s), s
+                coeffs = s.terms.values()
+                seen["one"] += 1 in coeffs
+                seen["minus_one"] += -1 in coeffs
+                seen["fraction"] += any(c.denominator > 1 for c in coeffs)
+                seen["x_fraction"] += any(type(e) is Fraction for xs, _ in s.terms for e in xs)
+                seen["zero"] += s.is_zero()
+    assert min(seen.values()) >= 20, seen

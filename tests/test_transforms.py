@@ -591,6 +591,33 @@ def test_forward_inverse_roundtrip():
         assert max(abs(a - b) for a, b in zip(back, q)) < 1e-9
 
 
+def test_xx_lambda_chart_maps_a_source_before_the_last_x():
+    # x2 <- x1*(1/2 + y1') over (3,1): x2 leaves the x-block from the middle
+    # and the new y1' enters first among the y's, so both point maps move a
+    # coordinate across x3
+    t, sig = BlowUpXX(2, 1, Fraction(1, 2)), Signature(3, 1)
+    down = t.result_sig(sig)
+    assert down == Signature(2, 2)
+    rng = random.Random(43)
+    for _ in range(25):
+        # integral exponents at a precision no image reaches: the pullback
+        # drops no term, so both sides are the same exact rational
+        f = random_series(rng, sig, prec=40, nterms=4, fractional_x=False)
+        # x2 = x1*(1/2 + y1') must stay >= 0
+        q = [Fraction(rng.randint(1, 9), 7) for _ in range(down.m)]
+        q += [Fraction(rng.randint(-3, 9), 7), Fraction(rng.randint(-9, 9), 7)]
+        p = t.forward_point_sig(q, sig)
+        assert p[1] == q[0] * (Fraction(1, 2) + q[2])
+        assert t.inverse_point(p, sig) == q
+        assert evaluate(t.pullback(f), q).value == evaluate(f, p).value
+
+
+def test_pullback_chain_names_the_failing_step():
+    f = ps("y1 + x1*y1", 1, 1)
+    with pytest.raises(TransformError, match=r"^step 2 \(.*\): indices \(1,2\) out of range"):
+        pullback_chain([Linear(1, ()), BlowUpXX(1, 2, 0)], f)
+
+
 def test_inverse_outside_chart_image():
     # the lambda = 1/2 chart only covers y/x near 1/2; a point with y/x = 50
     # has no preimage with small coordinates: its y-coordinate is 49.5
