@@ -113,8 +113,16 @@ def weierstrass_divide(f: Series, g: Series, d: Optional[int] = None) -> Weierst
 
 
 def _subst_last_y(g: Series, a: Series) -> Series:
-    """g(x, y_1..y_{n-1}, a) as a series over (m, n-1)."""
+    """g(x, y_1..y_{n-1}, a) as a series over (m, n-1).
+
+    A zero ``a`` at ``g``'s precision or finer gives the restriction
+    ``y_n = 0``, which is taken without substituting: the zero powers of
+    ``a`` then keep ``g``'s precision, so the substitution cuts no term.  A
+    coarser zero ``a`` is substituted, since its powers cut the terms at its
+    precision while the result still claims ``g``'s (ROADMAP item 1)."""
     n = g.sig.n
+    if a.is_zero() and a.precision >= g.precision:
+        return set_to_zero(g, zero_y=(n,))
     return set_to_zero(substitute_y(g, {n: insert_y(a, n)}), zero_y=(n,))
 
 
@@ -122,7 +130,9 @@ def solve_implicit(g: Series) -> Series:
     """The unique series a with a(0) = 0 and g(x, y', a(x, y')) = 0, for g
     with g(0) = 0 and an invertible first-order coefficient in the last
     y-variable.  Newton iteration; convergence is quadratic, so the step
-    count is logarithmic in the precision."""
+    count is logarithmic in the precision.  The first step starts from
+    ``a = 0`` at g's precision, so it restricts g and its derivative to
+    ``y_n = 0`` instead of substituting (``_subst_last_y``)."""
     if g.sig.n < 1:
         raise DivisionError("no y-variable to solve for")
     if g.constant_term() != 0:

@@ -132,8 +132,8 @@ class Series:
       and ``coefficients_in_y`` divide by ``Y_j`` and by ``Y_j^k``);
     * substitution: ``p * min(1, orders)`` (``_substitution_precision``),
       one product per group of terms with equal replaced y-exponents; the
-      terms are exact only below the smallest precision of those products,
-      an over-claim (ROADMAP item 1);
+      terms are cut at the smallest precision of those products, below
+      which they are exact, so the claim is an over-claim (ROADMAP item 1);
     * a power of a unit (``_unit_power``), so its inverse (``invert_unit``): ``p``;
     * unit root: ``p * min(1, ord(u - u(0)))``, an under-claim (``unit_root``);
     * Weierstrass division: over-claims, see ROADMAP item 12.
@@ -143,7 +143,9 @@ class Series:
     ``_mul`` adds ``na * nb`` per key as ``int``s over ``lcm(a) * lcm(b)`` and
     builds one ``Fraction`` per key whose sum is nonzero.  A term of ``b`` is
     kept beside a term of degree ``da`` when its degree ``db`` is below
-    ``prec - da``.
+    ``prec - da``.  ``substitute_y`` runs its products through the same
+    loop (``_product_sums``) and adds all its groups into one integer
+    accumulator over one denominator, again one ``Fraction`` per kept key.
 
     The ``_eval`` slot holds the point-independent part of ``evaluate``,
     built on the first evaluation; it takes no part in equality or hashing.
@@ -255,19 +257,10 @@ class Series:
             prec = min(prec, _x_exponent(cut))
         la, nums_a = _over_lcm(self.terms.values())
         lb, nums_b = _over_lcm(other.terms.values())
-        b_terms = list(zip(other.terms, nums_b, deg_b))
         # only two fractional x-exponents sum to an integer, as in x^(1/2) * x^(1/2)
-        frac_b = _fractional(other.terms)
-        xadd = (lambda p, q: _x_exponent(p + q)) if frac_b and _fractional(self.terms) else add
-        sums: dict[Exponent, int] = {}
-        # a-outer, b-inner; a sum that cancels keeps its slot until the end
-        for (xa, ya), na, da in zip(self.terms, nums_a, deg_a):
-            room = prec - da
-            for (xb, yb), nb, db in b_terms:
-                if not db < room:
-                    continue
-                exp = (tuple(map(xadd, xa, xb)), tuple(map(add, ya, yb)))
-                sums[exp] = sums.get(exp, 0) + na * nb
+        frac = _fractional(other.terms) and _fractional(self.terms)
+        b_terms = list(zip(other.terms, nums_b, deg_b))
+        sums = _product_sums({}, zip(self.terms, nums_a, deg_a), b_terms, prec, frac)
         den = la * lb
         return Series._trusted(self.sig, {e: Fraction(n, den) for e, n in sums.items() if n}, prec)
 
@@ -328,6 +321,29 @@ def _below(
 ) -> dict[Exponent, Fraction]:
     """The terms of total degree below ``precision``, in their order."""
     return {e: c for e, c in terms.items() if total_degree(e) < precision}
+
+
+def _add_x(p: Rational, q: Rational) -> Rational:
+    return _x_exponent(p + q)
+
+
+def _product_sums(sums: dict, a_terms, b_terms: list, prec: Rational, frac: bool) -> dict:
+    """Add ``na * nb`` to ``sums[ea + eb]`` for every term ``(ea, na, da)`` of
+    ``a_terms`` (outer loop) and ``(eb, nb, db)`` of ``b_terms`` (inner loop)
+    with ``da + db < prec``, and return ``sums``: the integer product loop of
+    ``Series._mul`` and ``substitute_y``.  A new key goes to the end of
+    ``sums`` at its first contribution; a sum that cancels keeps its slot.
+    ``frac``: both sides may have fractional x-exponents, whose sums are
+    re-canonicalised."""
+    xadd = _add_x if frac else add
+    for (xa, ya), na, da in a_terms:
+        room = prec - da
+        for (xb, yb), nb, db in b_terms:
+            if not db < room:
+                continue
+            exp = (tuple(map(xadd, xa, xb)), tuple(map(add, ya, yb)))
+            sums[exp] = sums.get(exp, 0) + na * nb
+    return sums
 
 
 def _product_precision(
@@ -749,6 +765,38 @@ def coefficients_in_y(a: Series, j: int) -> dict[int, Series]:
     }
 
 
+class _Factor(NamedTuple):
+    """A factor of ``substitute_y`` in integers: ``terms`` as ``(exponent,
+    numerator, degree)`` over a denominator kept by the caller, ``order`` their
+    least degree (None if there are none), ``frac`` whether an x-exponent
+    may be fractional."""
+
+    terms: list
+    precision: Rational
+    order: Optional[Rational]
+    frac: bool
+
+
+def _factor(terms: list, precision: Rational, frac: bool) -> _Factor:
+    return _Factor(terms, precision, min((d for _, _, d in terms), default=None), frac)
+
+
+def _cut_product(a: _Factor, b: _Factor, cut: Rational, sums: dict) -> Rational:
+    """Add the product ``a * b`` cut at ``cut`` to the integer sums ``sums``,
+    as ``Series._mul`` does, and return its precision."""
+    prec = min(_product_precision(a.precision, a.order, b.precision, b.order), cut)
+    _product_sums(sums, a.terms, b.terms, prec, a.frac and b.frac)
+    return prec
+
+
+def _chained(a: _Factor, b: _Factor, cut: Rational) -> _Factor:
+    """The cut product ``a * b`` as a factor of a further product: its
+    nonzero sums, with their degrees."""
+    sums: dict[Exponent, int] = {}
+    prec = _cut_product(a, b, cut, sums)
+    return _factor([(e, n, total_degree(e)) for e, n in sums.items() if n], prec, a.frac or b.frac)
+
+
 def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
     """Substitute Y_j by replacement series (same signature) for each j.
 
@@ -756,8 +804,21 @@ def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
     grouped as ``a = sum_k C_k * prod_j Y_j^(k_j)`` by their replaced
     y-exponents, each group adds ``C_k * prod_j R_j^(k_j)`` once, multiplied
     in increasing j; every product and every power ``R_j^e = R_j^(e-1) * R_j``
-    is cut at ``P = a.precision``.  The sum is exact below the smallest
-    precision of its pieces, yet the result claims ``P * min(1, orders)``
+    is cut at ``P = a.precision``, as ``Series._mul`` cuts it.
+
+    The sum is taken in integers over one denominator, like a product: each
+    group and each replacement is written once as integer numerators over
+    the lcm of its denominators (``_over_lcm``); ``D`` is the lcm over the
+    groups of ``lcm(C_k) * prod_j lcm(R_j)^(k_j)``, and each ``C_k`` is scaled
+    to lie over ``D / prod_j lcm(R_j)^(k_j)``, so every group's product lies
+    over ``D``.  The products run through ``Series._mul``'s loop
+    (``_product_sums``); a group's last one adds into one accumulator for all
+    groups.  After each group a key whose sum is 0 is deleted, so a later
+    group that brings it back puts it at the end, as ``+`` would.  One
+    ``Fraction`` is built per output term.
+
+    The sum is exact below the smallest precision of its pieces, and its
+    terms are cut there, yet the result claims ``P * min(1, orders)``
     (``_substitution_precision``): an over-claim, ROADMAP item 1.
     """
     for j, rep in replacements.items():
@@ -777,18 +838,42 @@ def substitute_y(a: Series, replacements: Mapping[int, Series]) -> Series:
     for (xs, ys), c in a.terms.items():
         ys0 = tuple(0 if j in replacements else e for j, e in enumerate(ys, 1))
         groups.setdefault(tuple(ys[j - 1] for j in js), {})[(xs, ys0)] = c
-    powers = {j: [constant(a.sig, 1, P)] for j in js}
-    result = zero(a.sig, P)
+    lcms, reps = {}, {}
+    for j in js:
+        r = replacements[j]
+        lcms[j], nums = _over_lcm(r.terms.values())
+        reps[j] = _factor(list(zip(r.terms, nums, map(total_degree, r.terms))),
+                          r.precision, _fractional(r.terms))
+    one = _factor([(((0,) * a.sig.m, (0,) * a.sig.n), 1, 0)], P, False)
+    powers = {j: [one] for j in js}
+    pieces = []
     for ks, terms in groups.items():
-        piece = Series._trusted(a.sig, terms, P)
+        den, nums = _over_lcm(terms.values())
+        pieces.append((ks, terms, math.prod((lcms[j] ** k for j, k in zip(js, ks)), start=den), nums))
+    D = math.lcm(*(den for _, _, den, _ in pieces))
+    acc: dict[Exponent, int] = {}
+    low = P
+    for ks, terms, den, nums in pieces:
+        scale = D // den
+        piece = _factor([(e, n * scale, total_degree(e)) for e, n in zip(terms, nums)],
+                        P, _fractional(terms))
+        factors = []
         for j, k in zip(js, ks):
             if k:
                 rj = powers[j]
                 while len(rj) <= k:
-                    rj.append(rj[-1]._mul(replacements[j], P))
-                piece = piece._mul(rj[k], P)
-        result = result + piece
-    return Series._trusted(a.sig, _below(result.terms, prec), prec)
+                    rj.append(_chained(rj[-1], reps[j], P))
+                factors.append(rj[k])
+        *chain, last = factors or [one]
+        for f in chain:
+            piece = _chained(piece, f, P)
+        low = min(low, _cut_product(piece, last, P, acc))
+        if 0 in acc.values():
+            acc = {e: n for e, n in acc.items() if n}
+    cut = min(low, prec)
+    return Series._trusted(
+        a.sig, {e: Fraction(n, D) for e, n in acc.items() if total_degree(e) < cut}, prec
+    )
 
 
 # -- rendering ---------------------------------------------------------------

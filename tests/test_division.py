@@ -14,11 +14,14 @@ from gpseries.series import (
     nth_root_rational,
     partial_y,
     render,
+    set_to_zero,
     substitute_y,
     y_var,
+    zero,
 )
 from gpseries.division import (
     DivisionError,
+    _subst_last_y,
     regular_order,
     solve_implicit,
     split_in_y,
@@ -132,6 +135,41 @@ def _lift(a):
     from gpseries.series import insert_y
 
     return insert_y(a, 1)
+
+
+def _substituted_last_y(g: Series, a: Series) -> Series:
+    n = g.sig.n
+    return set_to_zero(substitute_y(g, {n: insert_y(a, n)}), zero_y=(n,))
+
+
+def test_zero_solution_restricts_only_at_the_target_precision_or_finer():
+    g = ps("y1 + x1^3", 1, 1)
+    assert g.precision == 8
+    fine = _subst_last_y(g, zero(Signature(1, 0), 8))
+    assert fine == set_to_zero(g, zero_y=(1,)) == Series(Signature(1, 0), {((3,), ()): 1}, 8)
+    # a zero at precision 2 makes its powers, and the y1 group, precision 2:
+    # x1^3 is cut while the result still claims 8 (ROADMAP item 1), so the
+    # restriction, which keeps x1^3, is not the substitution here
+    coarse = _subst_last_y(g, zero(Signature(1, 0), 2))
+    assert coarse.is_zero() and coarse.precision == 8
+    assert coarse == _substituted_last_y(g, zero(Signature(1, 0), 2))
+    assert coarse != set_to_zero(g, zero_y=(1,))
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 1), (1, 2), (2, 1), (2, 2)])
+def test_zero_solution_restriction_is_the_substitution(m, n):
+    # wherever the restriction is taken, it gives the substitution's terms,
+    # in its order, at its precision
+    sig = Signature(m, n)
+    rng = random.Random(310 + 10 * m + n)
+    for _ in range(120):
+        g = random_series(rng, sig, Fraction(rng.randint(1, 12), rng.choice([1, 2, 3])),
+                          nterms=rng.randint(0, 8), fractional_x=rng.random() < 0.5,
+                          coeff_den=rng.choice([1, 3, 7]))
+        a = zero(Signature(m, n - 1), g.precision + rng.choice([0, 0, Fraction(1, 2), 3]))
+        got, want = _subst_last_y(g, a), _substituted_last_y(g, a)
+        assert (list(got.terms.items()), got.sig, got.precision) == (
+            list(want.terms.items()), want.sig, want.precision), (g, a)
 
 
 def test_solve_implicit_requires_unit_slope():

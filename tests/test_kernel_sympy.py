@@ -176,6 +176,36 @@ def test_substitute_y_matches_sympy(case):
     assert_matches(r, expected)
 
 
+@st.composite
+def substitution_at_other_precisions(draw):
+    """A target and replacements at precisions drawn independently, with
+    fractional x-exponents (ROADMAP item 10)."""
+    sig = draw(st.sampled_from(SIGS))
+    a = draw(sparse_series(sig, frac_precisions, xexps=frac_exps))
+    js = draw(st.sets(st.integers(1, sig.n), min_size=1))
+    reps = {
+        j: draw(sparse_series(sig, frac_precisions, no_constant=True, xexps=frac_exps))
+        for j in sorted(js)
+    }
+    return a, reps
+
+
+@EXAMPLES
+@given(substitution_at_other_precisions())
+def test_substitute_y_matches_sympy_at_other_precisions(case):
+    # the terms are exact below the claim and below every replacement's
+    # precision; whether the claim itself holds is ROADMAP item 1
+    a, reps = case
+    r = substitute_y(a, reps)
+    bound = min([r.precision, *(rep.precision for rep in reps.values())])
+    ys = ysyms(a.sig.n)
+    expected = to_expr(a).subs(
+        {ys[j - 1]: to_expr(rep) for j, rep in reps.items()}, simultaneous=True
+    )
+    below = {e: c for e, c in r.terms.items() if total_degree(e) < bound}
+    assert below == truncated_terms(expected, a.sig, bound)
+
+
 def zero_exponent(sig: Signature):
     return (tuple([Fraction(0)] * sig.m), tuple([0] * sig.n))
 

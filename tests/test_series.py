@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gpseries.series import (
+    Exponent,
     Series,
     Signature,
     SeriesError,
@@ -33,6 +34,8 @@ from gpseries.series import (
     x_var,
     y_var,
     zero,
+    _below,
+    _substitution_precision,
 )
 from gpseries.transforms import RamifyX
 from conftest import canonical_rational, ps, random_series, random_unit
@@ -552,6 +555,108 @@ def test_substitute_y_matches_term_by_term_reference(m, n):
         got, want = substitute_y(a, reps), _substitute_term_by_term(a, reps)
         assert (got.terms, got.precision) == (want.terms, want.precision), (a, reps)
     assert coarse > 20
+
+
+def _substitute_by_fractions(a, replacements):
+    """``substitute_y`` as it was before it summed in integers: one cut
+    product of ``Fraction`` coefficients per group and per power, the groups
+    folded with ``+``."""
+    for j, rep in replacements.items():
+        if not 1 <= j <= a.sig.n:
+            raise SeriesError(f"y-index {j} out of range for {a.sig}")
+        if rep.sig != a.sig:
+            raise SignatureMismatch(f"{rep.sig} != {a.sig}")
+        if rep.constant_term() != 0:
+            raise SeriesError("replacement series must vanish at the origin")
+    prec = _substitution_precision(
+        a.precision,
+        [rep.order() for rep in replacements.values() if not rep.is_zero()],
+    )
+    P = a.precision
+    js = sorted(replacements)
+    groups: dict[tuple[int, ...], dict[Exponent, Fraction]] = {}
+    for (xs, ys), c in a.terms.items():
+        ys0 = tuple(0 if j in replacements else e for j, e in enumerate(ys, 1))
+        groups.setdefault(tuple(ys[j - 1] for j in js), {})[(xs, ys0)] = c
+    powers = {j: [constant(a.sig, 1, P)] for j in js}
+    result = zero(a.sig, P)
+    for ks, terms in groups.items():
+        piece = Series._trusted(a.sig, terms, P)
+        for j, k in zip(js, ks):
+            if k:
+                rj = powers[j]
+                while len(rj) <= k:
+                    rj.append(rj[-1]._mul(replacements[j], P))
+                piece = piece._mul(rj[k], P)
+        result = result + piece
+    return Series._trusted(a.sig, _below(result.terms, prec), prec)
+
+
+def _replacement(rng, sig: Signature) -> Series:
+    """A replacement without constant term, zero in about one draw of seven,
+    at a precision from 1/3 to 14."""
+    zero_exp = ((0,) * sig.m, (0,) * sig.n)
+    prec = Fraction(rng.randint(1, 14), rng.choice([1, 2, 3]))
+    if rng.random() < 0.15:
+        return zero(sig, prec)
+    r = random_series(rng, sig, prec, nterms=rng.randint(1, 4), max_den=2,
+                      fractional_x=rng.random() < 0.6, coeff_den=rng.choice([1, 5, 7]))
+    return Series(sig, {e: c for e, c in r.terms.items() if e != zero_exp}, r.precision)
+
+
+def _with_cancellation(rng, a: Series, j: int, rep: Series) -> Series:
+    """``a + c*M*Y_j - c*M*R_j`` for a random monomial ``M`` free of Y_j: the
+    two added pieces cancel once Y_j is replaced by ``R_j``."""
+    sig = a.sig
+    xs = tuple(Fraction(rng.randint(0, 2), rng.choice([1, 2])) for _ in range(sig.m))
+    ys = tuple(0 if i == j else rng.randint(0, 1) for i in range(1, sig.n + 1))
+    c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 3]))
+    terms = dict(a.terms)
+    yj = ys[: j - 1] + (1,) + ys[j:]
+    for key, v in [((xs, yj), c)] + [
+        ((tuple(p + q for p, q in zip(xs, ex)), tuple(p + q for p, q in zip(ys, ey))), -c * v)
+        for (ex, ey), v in rep.terms.items()
+    ]:
+        terms[key] = terms.get(key, Fraction(0)) + v
+    return Series(sig, terms, a.precision)
+
+
+@pytest.mark.parametrize(
+    "m, n", [(m, n) for m in range(3) for n in range(1, 4)]
+)
+def test_substitute_y_is_the_fraction_substitution(m, n):
+    # same terms in the same order, same exponent types, same precision:
+    # fractional x-exponents (halves that sum to integers), coefficient
+    # denominators 1-7, zero replacements, replacements coarser and finer
+    # than the target, 1 to n replaced variables, and targets built to cancel
+    sig = Signature(m, n)
+    rng = random.Random(7100 + 10 * m + n)
+    coarse = fine = zeros = cancelling = 0
+    for _ in range(240):
+        prec = Fraction(rng.randint(2, 12), rng.choice([1, 2, 3]))
+        a = random_series(rng, sig, prec, nterms=rng.randint(0, 9), max_den=2,
+                          fractional_x=rng.random() < 0.5, coeff_den=rng.choice([1, 3, 7]))
+        reps = {j: _replacement(rng, sig) for j in rng.sample(range(1, n + 1), rng.randint(1, n))}
+        if rng.random() < 0.35:
+            j = rng.choice(list(reps))
+            a = _with_cancellation(rng, a, j, reps[j])
+            cancelling += 1
+        coarse += any(r.precision < a.precision for r in reps.values())
+        fine += any(r.precision > a.precision for r in reps.values())
+        zeros += any(r.is_zero() for r in reps.values())
+        got, want = substitute_y(a, reps), _substitute_by_fractions(a, reps)
+        assert _parts(got) == _parts(want), (a, reps)
+    assert min(coarse, fine, zeros, cancelling) > 20
+
+
+def test_substitute_y_puts_a_key_that_comes_back_at_the_end():
+    # x1^2 cancels in the y1 group (-x1 * x1) and comes back in the y1^2 group
+    # (1 * x1^2): it follows x1^3, as adding the groups one by one would put it
+    a, reps = ps("x1^2 + x1^3 - x1*y1 + y1^2", 1, 1), {1: ps("x1", 1, 1)}
+    got = substitute_y(a, reps)
+    assert list(got.terms.items()) == [(((3,), (0,)), 1), (((2,), (0,)), 1)]
+    assert got.precision == a.precision
+    assert _parts(got) == _parts(_substitute_by_fractions(a, reps))
 
 
 # -- evaluation -----------------------------------------------------------------
