@@ -127,14 +127,6 @@ def _monomial_json(exp: Exponent) -> dict:
 # -- small algebra helpers ----------------------------------------------------
 
 
-def _set_all_x_zero(g: Series) -> Series:
-    return Series._trusted(
-        g.sig,
-        {e: c for e, c in g.terms.items() if all(v == 0 for v in e[0])},
-        g.precision,
-    )
-
-
 def _coord_get(exp: Exponent, coord) -> int | Fraction:
     axis, idx = coord
     return exp[0][idx - 1] if axis == "x" else exp[1][idx - 1]
@@ -317,14 +309,6 @@ def _ramify_x(node: TreeNode, i: int, gamma: int | Fraction, *series: Series):
     return (node.add_child(t), *(t.pullback(s) for s in series))
 
 
-def _lowest_homogeneous(g0: Series) -> tuple[int, dict]:
-    """(order, {y-exponent: coeff}) of the y-only series g0; the order is an
-    ``int``, since every exponent of g0 is one."""
-    d0 = min(total_degree(e) for e in g0.terms)
-    part = {e[1]: c for e, c in g0.terms.items() if total_degree(e) == d0}
-    return d0, part
-
-
 def _candidate_ints(bound: int):
     yield 0
     for v in range(1, bound + 1):
@@ -333,23 +317,15 @@ def _candidate_ints(bound: int):
 
 
 def _find_shear(part: dict, n: int, d0: int) -> Optional[tuple]:
-    """Integer tuple c with H(c_1..c_{n-1}, 1) != 0 for the homogeneous part H."""
-    bound = int(d0) + 1
-    for c in itertools.product(_candidate_ints(bound), repeat=n - 1):
-        val = Fraction(0)
-        for ys, coeff in part.items():
-            term = coeff
-            ok = True
-            for k in range(n - 1):
-                if ys[k]:
-                    if c[k] == 0:
-                        ok = False
-                        break
-                    term *= Fraction(c[k]) ** ys[k]
-            if ok:
-                val += term
-        if val != 0:
-            return tuple(Fraction(v) for v in c)
+    """The first c in ``_candidate_ints(d0 + 1)``^(n-1) with H(c, 1) != 0, as
+    ``Fraction``s, for the degree-d0 part H = ``part`` ({y-exponent: coeff}).
+
+    H(c, 1) is the exact sum of ``coeff * prod_k c_k ** e_k`` over the terms,
+    in integer powers; ``0 ** 0 == 1``, so a zero c_k drops exactly the terms
+    that involve y_k."""
+    for c in itertools.product(_candidate_ints(d0 + 1), repeat=n - 1):
+        if sum(coeff * math.prod(map(pow, c, ys)) for ys, coeff in part.items()):
+            return tuple(map(Fraction, c))
     return None
 
 
@@ -415,16 +391,17 @@ class _Engine:
             # center extraction undo each other
             beta = (beta[0], beta[1][:-1] + (0,))
             g = divide_monomial(f, beta)
-        g0 = _set_all_x_zero(g)
-        if n == 0 or g0.is_zero():
+        # the restriction of g to x = 0, as {y-exponent: coeff}
+        g0 = {e[1]: c for e, c in g.terms.items() if not any(e[0])}
+        if n == 0 or not g0:
             yield from self._principalize(node, f, g, depth)
             return
-        d0, part = _lowest_homogeneous(g0)
+        d0 = min(map(sum, g0))
         if g.precision <= d0:
             raise PrecisionExhausted(
                 f"truncation order {g.precision} cannot certify regularity of order {d0}"
             )
-        shear = _find_shear(part, n, d0)
+        shear = _find_shear({ys: c for ys, c in g0.items() if sum(ys) == d0}, n, d0)
         if shear is None:
             raise EngineError("no integer shear renders the series regular")
         if any(v != 0 for v in shear):

@@ -79,7 +79,10 @@ class _Parser:
         self.precision = precision if self.requested > 1 else 2
 
     def cut(self, value: Series) -> Series:
-        """A parsed series at the requested precision."""
+        """``value`` truncated to the requested precision when the request is
+        at most 1; otherwise ``value`` as parsed, whose precision can exceed
+        the request, since a product of variables gains its order
+        (``x1^3`` requested at 8 comes back at 10; ROADMAP item 11)."""
         return value if self.requested > 1 else value.truncate(self.requested)
 
     # -- token plumbing ---------------------------------------------------

@@ -308,9 +308,7 @@ class Series:
         """Equality of the two series modulo the coarser precision."""
         self._require_same_sig(other)
         prec = min(self.precision, other.precision)
-        a = {e: c for e, c in self.terms.items() if total_degree(e) < prec}
-        b = {e: c for e, c in other.terms.items() if total_degree(e) < prec}
-        return a == b
+        return _below(self.terms, prec) == _below(other.terms, prec)
 
     def __repr__(self):
         return f"Series({render(self)!r}, sig={tuple(self.sig)}, prec={self.precision})"
@@ -394,6 +392,8 @@ def monomial(
 
 def x_var(sig: Signature, i: int, precision: Rational) -> Series:
     """The variable X_i (1-based)."""
+    if not 1 <= i <= sig.m:
+        raise SeriesError(f"x-index {i} out of range for {sig}")
     xs = [0] * sig.m
     xs[i - 1] = 1
     return monomial(sig, xs, [0] * sig.n, precision)
@@ -401,6 +401,8 @@ def x_var(sig: Signature, i: int, precision: Rational) -> Series:
 
 def y_var(sig: Signature, j: int, precision: Rational) -> Series:
     """The variable Y_j (1-based)."""
+    if not 1 <= j <= sig.n:
+        raise SeriesError(f"y-index {j} out of range for {sig}")
     ys = [0] * sig.n
     ys[j - 1] = 1
     return monomial(sig, [0] * sig.m, ys, precision)
@@ -489,14 +491,8 @@ def _int_nth_root(v: int, k: int) -> Optional[int]:
 
 def _rational_power(base: Fraction, alpha: Fraction) -> Optional[Fraction]:
     """base^alpha as an exact rational when possible, else None."""
-    if alpha.denominator == 1:
-        e = alpha.numerator
-        return base**e if e >= 0 else Fraction(1) / base ** (-e)
-    root = nth_root_rational(base, alpha.denominator)
-    if root is None:
-        return None
-    e = alpha.numerator
-    return root**e if e >= 0 else Fraction(1) / root ** (-e)
+    root = base if alpha.denominator == 1 else nth_root_rational(base, alpha.denominator)
+    return None if root is None else root**alpha.numerator
 
 
 class Evaluation(NamedTuple):

@@ -100,6 +100,32 @@ def test_precision_exhausted_exits_two(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "precision exhausted: branch 0: order 8 reached\n"
 
 
+def test_principalization_cap_exits_three(tmp_path, capsys):
+    path = write(tmp_path, "in.txt", "vars x:2 y:0\nx1 + x2;\n")
+    assert main(["monomialize", path, "--princ-cap", "0"]) == 3
+    assert capsys.readouterr().err == "cap exceeded: principalization budget 0 exhausted\n"
+
+
+@pytest.mark.parametrize(
+    "command,statements,message",
+    [
+        ("monomialize", "x1;\ny1;\n", "expected one series statement, got 2"),
+        ("divide", "", "expected at least one series statement"),
+        ("parametrize", "x1 > 0;\ny1 > 0;\n", "expected one set description, got 2"),
+    ],
+)
+def test_wrong_statement_count_exits_one(tmp_path, capsys, command, statements, message):
+    path = write(tmp_path, "in.txt", "vars x:1 y:1\n" + statements)
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err == f"error: at position 0: {message}\n"
+
+
+def test_vanishing_inputs_exit_one(tmp_path, capsys):
+    path = write(tmp_path, "in.txt", "vars x:1 y:1\n0;\n")
+    assert main(["divide", path]) == 1
+    assert capsys.readouterr().err == "error: all inputs vanish to the given precision\n"
+
+
 def test_config_file_and_flag_override(tmp_path, capsys):
     cfg = write(tmp_path, "cfg.txt", "precision = 6\nseed = 9  # comment\n")
     parsed = read_config(cfg)

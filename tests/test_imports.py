@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name is used somewhere in the package.
 
-``__init__.py`` is exempt: it imports names to re-export them."""
+``__init__.py`` is exempt from the import check: it imports names to
+re-export them."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,53 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_reported():
     source = "import os.path\nimport math as m\nfrom fractions import Fraction\nm.floor(1)\n"
     assert unused_imports(source) == ["Fraction", "os"]
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read below ``node``, as a variable or as an
+    attribute."""
+    names = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            names[sub.attr] += 1
+    return names
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else []
+    if isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level function, class or assignment
+    whose name starts with ``_`` (dunders aside) and is read nowhere in
+    ``sources`` outside its own definition.  Names are matched by name
+    alone, across all modules."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum(map(_references, trees.values()), Counter())
+    unreferenced = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            for name in _defined_names(stmt):
+                if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+                    continue
+                if everywhere[name] == _references(stmt)[name]:
+                    unreferenced.append(f"{module}:{name}")
+    return sorted(unreferenced)
+
+
+def test_every_private_name_is_used():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_an_unused_private_name_is_reported():
+    a = "__all__ = []\n_k = 1\n_t, _u = 1, 2\ndef _left(n):\n    return _left(n - 1)\nclass _Used: pass\n"
+    b = "import a\n_x: int = 2\ndef _y():\n    return a._Used, a._u\n_y()\n"
+    assert unreferenced_private_names({"a": a, "b": b}) == ["a:_k", "a:_left", "a:_t", "b:_x"]

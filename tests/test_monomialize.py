@@ -1,6 +1,7 @@
 """Monomialisation engine: corpus walkthroughs, normal forms, division chains."""
 
 from fractions import Fraction
+import itertools
 import math
 import random
 import re
@@ -22,6 +23,7 @@ from gpseries.monomialize import (
     EngineOptions,
     PrecisionExhausted,
     _Engine,
+    _find_shear,
     critical_lambdas,
     division_chain,
     monomialize,
@@ -217,6 +219,101 @@ def test_random_sparse_inputs():
 def test_depth_cap_raises():
     with pytest.raises(CapExceeded):
         monomialize(ps("y1^2 - x1^3", 1, 1), EngineOptions(max_depth=0))
+
+
+def test_step_budget_raises():
+    with pytest.raises(CapExceeded, match=r"^step budget exceeded 1$"):
+        monomialize(ps("y1^2 - x1^3", 1, 1), EngineOptions(max_steps=1))
+    pair = [ps("y1^2 - x1^3", 1, 1), ps("y1", 1, 1)]
+    with pytest.raises(CapExceeded, match=r"^step budget exceeded 3$"):
+        division_chain(pair, EngineOptions(max_steps=3))
+
+
+def test_principalization_budget_raises():
+    with pytest.raises(CapExceeded, match=r"^principalization budget 0 exhausted$"):
+        monomialize(ps("x1 + x2", 2, 0), EngineOptions(princ_cap=0))
+
+
+# -- the shear that makes a series regular in y_n ----------------------------------
+
+
+def _find_shear_by_branches(part, n, d0):
+    """The shear search as it was written before H(c, 1) used exact powers:
+    the same candidates, with a term skipped at a zero coordinate it
+    involves."""
+
+    def candidates(bound):
+        yield 0
+        for v in range(1, bound + 1):
+            yield v
+            yield -v
+
+    bound = int(d0) + 1
+    for c in itertools.product(candidates(bound), repeat=n - 1):
+        val = Fraction(0)
+        for ys, coeff in part.items():
+            term = coeff
+            ok = True
+            for k in range(n - 1):
+                if ys[k]:
+                    if c[k] == 0:
+                        ok = False
+                        break
+                    term *= Fraction(c[k]) ** ys[k]
+            if ok:
+                val += term
+        if val != 0:
+            return tuple(Fraction(v) for v in c)
+    return None
+
+
+def _homogeneous_part(rng, n, d0):
+    """A nonzero {y-exponent: coeff} of degree d0 in n variables: either
+    random monomials, usually without the pure y_n^d0 term, or a product of
+    linear forms with small integer coefficients, which vanishes at some of
+    the first candidates."""
+    while True:
+        if rng.random() < 0.5:
+            part = {}
+            for _ in range(rng.randint(1, 4)):
+                ys = [0] * n
+                for _ in range(d0):
+                    ys[rng.randrange(n)] += 1
+                part[tuple(ys)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+            if rng.random() < 0.8:
+                part.pop((0,) * (n - 1) + (d0,), None)
+        else:
+            sig = Signature(0, n)
+            h = Series(sig, {((), (0,) * n): rng.randint(1, 3)}, 9)
+            for _ in range(d0):
+                form = {
+                    ((), tuple(int(i == k) for i in range(n))): rng.choice([-2, -1, 0, 0, 1, 2])
+                    for k in range(n)
+                }
+                h = h * Series(sig, form, 9)
+            part = {e[1]: c for e, c in h.terms.items()}
+        if part:
+            return part
+
+
+def test_find_shear_matches_the_branching_reference():
+    rng = random.Random(2024)
+    shears = zero_kept = 0
+    for n in range(1, 5):
+        for _ in range(600):
+            d0 = rng.randint(1, 4)
+            part = _homogeneous_part(rng, n, d0)
+            expected = _find_shear_by_branches(part, n, d0)
+            got = _find_shear(part, n, d0)
+            assert got == expected, (part, n, d0)
+            assert all(type(v) is Fraction for v in got)
+            if any(got):
+                shears += 1
+                # a coordinate left at zero although some term involves it
+                zero_kept += any(
+                    v == 0 and any(ys[k] for ys in part) for k, v in enumerate(got)
+                )
+    assert shears >= 500 and zero_kept >= 100, (shears, zero_kept)
 
 
 def _nonzero_draw(seed, sig, k, **kw):

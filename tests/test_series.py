@@ -499,6 +499,28 @@ def test_set_to_zero_matches_evaluate(data):
     assert evaluate(r, reduced_point).value == evaluate(a, point).value
 
 
+@pytest.mark.parametrize(
+    "make,axis,index",
+    [(x_var, "x", 0), (x_var, "x", -1), (x_var, "x", 3), (y_var, "y", 0), (y_var, "y", -1), (y_var, "y", 2)],
+)
+def test_variable_index_out_of_range_raises(make, axis, index):
+    # the index is 1-based: 0 and -1 would wrap around to the last variable
+    sig = Signature(2, 1)
+    message = f"{axis}-index {index} out of range for {sig}"
+    with pytest.raises(SeriesError, match=f"^{re.escape(message)}$"):
+        make(sig, index, 8)
+
+
+def test_substitute_y_rejects_bad_replacements():
+    a = ps("y1^2 + x1*y1", 1, 1)
+    with pytest.raises(SeriesError, match=r"^y-index 2 out of range for "):
+        substitute_y(a, {2: ps("x1", 1, 1)})
+    with pytest.raises(SignatureMismatch):
+        substitute_y(a, {1: ps("x1", 1, 2)})
+    with pytest.raises(SeriesError, match="^replacement series must vanish at the origin$"):
+        substitute_y(a, {1: ps("1 + x1", 1, 1)})
+
+
 def test_substitute_y_oracle():
     # y1 -> x1 + y1 in y1^2
     s = ps("y1^2", 1, 1)
