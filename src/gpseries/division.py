@@ -18,7 +18,6 @@ from .series import (
     Signature,
     _substitution_precision,
     _unit_power,
-    coefficients_in_y,
     insert_y,
     invert_unit,
     nth_root_rational,
@@ -132,18 +131,19 @@ def solve_implicit(g: Series) -> Series:
     y-variable.  Newton iteration; convergence is quadratic, so the step
     count is logarithmic in the precision.  The first step starts from
     ``a = 0`` at g's precision, so it restricts g and its derivative to
-    ``y_n = 0`` instead of substituting (``_subst_last_y``)."""
-    if g.sig.n < 1:
+    ``y_n = 0`` instead of substituting (``_subst_last_y``).
+
+    The first-order coefficient is a unit exactly when g carries the term
+    y_n, which is looked up in ``g.terms``; a precision <= 1 cuts that term."""
+    m, n = g.sig
+    if n < 1:
         raise DivisionError("no y-variable to solve for")
     if g.constant_term() != 0:
         raise DivisionError("equation does not vanish at the origin")
-    coeffs = coefficients_in_y(g, g.sig.n)
-    lin = coeffs.get(1)
-    if lin is None or not lin.is_unit():
+    if ((0,) * m, (0,) * (n - 1) + (1,)) not in g.terms:
         raise DivisionError("first-order coefficient is not a unit")
-    dg = partial_y(g, g.sig.n)
-    sig_out = Signature(g.sig.m, g.sig.n - 1)
-    a = zero(sig_out, g.precision)
+    dg = partial_y(g, n)
+    a = zero(Signature(m, n - 1), g.precision)
     max_iter = max(6, int(math.ceil(math.log2(max(2.0, float(g.precision))))) + 3)
     for _ in range(max_iter):
         val = _subst_last_y(g, a)

@@ -72,7 +72,7 @@ from .transforms import (
     chain_to_json,
 )
 from .trees import AdmissibleTree, DEFAULT_PALETTE, LambdaPalette, TreeNode, tree_to_json
-from .division import DivisionError, regular_order, solve_implicit, tschirnhausen_center
+from .division import DivisionError, solve_implicit, tschirnhausen_center
 
 
 class EngineError(SeriesError):
@@ -110,13 +110,14 @@ class NormalForm:
 
 
 def normal_form(f: Series) -> Optional[NormalForm]:
-    """(monomial, unit) when f is monomial times unit, else None."""
-    if f.is_zero():
-        return None
+    """(monomial, unit) when f is monomial times unit, else None.
+
+    With X^b the common monomial of f's terms, the cofactor f / X^b is a unit
+    exactly when f carries the term X^b, which is looked up in ``f.terms``:
+    only a normal f is divided."""
     exp = common_monomial(f)
-    cof = divide_monomial(f, exp)
-    if cof.is_unit():
-        return NormalForm(exp, cof)
+    if exp in f.terms:
+        return NormalForm(exp, divide_monomial(f, exp))
     return None
 
 
@@ -256,23 +257,16 @@ def critical_lambdas(g: Series, src, tgt) -> list[Fraction]:
     the terms supported only on the (src, tgt) axes at minimal combined
     degree, sorted.  They are found exactly by ``rational_roots``, in integer
     arithmetic with no limit on coefficient size; 0 is never reported."""
-    mu = None
-    for exp in g.terms:
-        s = _coord_get(exp, src) + _coord_get(exp, tgt)
-        mu = s if mu is None else min(mu, s)
-    if mu is None:
-        return []
-    poly: dict[int, Fraction] = {}
+    mu, poly = None, {}
     for exp, c in g.terms.items():
         p = _coord_get(exp, src)
-        q = _coord_get(exp, tgt)
-        others = sum(exp[0]) + sum(exp[1]) - p - q
-        if others != 0 or p + q != mu:
-            continue
-        if p.denominator != 1:
-            continue
-        k = int(p)
-        poly[k] = poly.get(k, Fraction(0)) + c
+        s = p + _coord_get(exp, tgt)
+        if mu is None or s < mu:
+            mu, poly = s, {}
+        # an edge term lies on the two axes only, so s is its whole degree;
+        # its src exponent fixes its tgt exponent, so it has a key of its own
+        if s == mu and s == total_degree(exp) and p.denominator == 1:
+            poly[int(p)] = c
     if not poly:
         return []
     deg = max(poly)
@@ -378,9 +372,8 @@ class _Engine:
             node.series = f
             return
         beta = common_monomial(f)
-        g = divide_monomial(f, beta)
-        if g.is_unit():
-            node.payload = NormalForm(beta, g).to_json()
+        if beta in f.terms:  # the cofactor is a unit, as in ``normal_form``
+            node.payload = NormalForm(beta, divide_monomial(f, beta)).to_json()
             node.series = f
             self.log(depth, "leaf", monomial=node.payload["monomial"])
             return
@@ -390,7 +383,7 @@ class _Engine:
             # y_n must account for it, otherwise the translate and the next
             # center extraction undo each other
             beta = (beta[0], beta[1][:-1] + (0,))
-            g = divide_monomial(f, beta)
+        g = divide_monomial(f, beta)
         # the restriction of g to x = 0, as {y-exponent: coeff}
         g0 = {e[1]: c for e, c in g.terms.items() if not any(e[0])}
         if n == 0 or not g0:
@@ -408,13 +401,12 @@ class _Engine:
             self.log(depth, "shear", c=[str(v) for v in shear])
             yield _child(node, f, Linear(n, shear), depth)
             return
-        d = regular_order(g)
-        if d != d0:
-            raise EngineError(f"regular order {d} disagrees with y-order {d0}")
-        if d == 1:
+        # H(0, ..., 0, 1) != 0: g carries y_n^d0 and no x-free term of lower
+        # degree, so g is regular of order d0 in y_n
+        if d0 == 1:
             yield from self._order_one(node, f, g, depth)
             return
-        yield from self._order_d(node, f, g, beta, d, depth)
+        yield from self._order_d(node, f, g, beta, d0, depth)
 
     # -- principalization of the x-monomial part ----------------------------
 
@@ -508,24 +500,21 @@ class _Engine:
         coeffs = {i: by_power[d - i] for i in range(2, d + 1) if d - i in by_power}
         if not coeffs:
             raise EngineError("pure power of y_n past monomial extraction")
-        forms = {}
-        for i, c in coeffs.items():
-            nf = normal_form(c)
-            if nf is None:
-                break
-            forms[i] = nf
-        mus = {
-            i: (
-                tuple(Fraction(v, i) for v in nf.monomial[0]),
-                tuple(Fraction(v, i) for v in nf.monomial[1]),
-            )
-            for i, nf in forms.items()
-        }
-        minimal = [
-            i for i, mu in mus.items() if all(_leq(mu, other) for other in mus.values())
-        ]
-        if len(forms) < len(coeffs) or not minimal:
-            yield from self._joint_coefficient_step(node, f, g, beta, d, coeffs, depth)
+        forms = {i: normal_form(c) for i, c in coeffs.items()}
+        minimal = []
+        if None not in forms.values():
+            mus = {
+                i: (
+                    tuple(Fraction(v, i) for v in nf.monomial[0]),
+                    tuple(Fraction(v, i) for v in nf.monomial[1]),
+                )
+                for i, nf in forms.items()
+            }
+            minimal = [
+                i for i, mu in mus.items() if all(_leq(mu, other) for other in mus.values())
+            ]
+        if not minimal:
+            yield from self._joint_coefficient_step(node, f, beta, d, coeffs, forms, depth)
             return
         l = max(minimal)
         mono_l = forms[l].monomial
@@ -544,23 +533,26 @@ class _Engine:
             f"weighted_blowup_{axis}", **log,
         )
 
-    def _joint_coefficient_step(self, node, f, g, beta, d, coeffs, depth):
+    def _joint_coefficient_step(self, node, f, beta, d, coeffs, forms, depth):
         """Monomialise the lower Y_n-coefficients jointly (identity on y_n),
-        raised to powers that align their critical ratios, then resume."""
+        raised to powers that align their critical ratios, then resume.
+
+        ``coeffs`` maps each power i to the Y_n^(d-i) coefficient, in
+        increasing i, and ``forms`` to its ``normal_form`` or None.  No
+        coefficient involves y_n, so a normal form read over (m, n - 1) is
+        the one given with the y_n entry of its monomial, 0, dropped."""
         m, n = f.sig
         lcm_i = math.lcm(*coeffs.keys())
         sub_sig = Signature(m, n - 1)
-        dropped = {i: set_to_zero(coeffs[i], zero_y=(n,)) for i in sorted(coeffs)}
-        forms = {i: normal_form(c) for i, c in dropped.items()}
         family = []
-        if all(nf is not None for nf in forms.values()):
+        if None not in forms.values():
             # every coefficient is already a monomial times a unit; align the
             # critical ratios by separating the lcm-powered monomials (single
             # terms, so the joint system stays tiny whatever the lcm is)
             for i, nf in forms.items():
                 k = lcm_i // i
                 xs = [v * k for v in nf.monomial[0]]
-                ys = [v * k for v in nf.monomial[1]]
+                ys = [v * k for v in nf.monomial[1][:-1]]
                 # powered degrees overshoot the working precision; keep each
                 # plan monomial alive by granting it a window past its degree
                 prec = sum(xs) + sum(ys) + f.precision
@@ -568,7 +560,7 @@ class _Engine:
         else:
             # separate the coefficients themselves first; the embedded leaves
             # re-derive the state and come back here for the alignment pass
-            family.extend(dropped.values())
+            family.extend(set_to_zero(c, zero_y=(n,)) for c in coeffs.values())
         beta_sub = (beta[0], beta[1][:-1])
         if any(v != 0 for v in beta_sub[0]) or any(v != 0 for v in beta_sub[1]):
             family.append(

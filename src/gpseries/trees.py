@@ -8,6 +8,7 @@ and serialization operate on these trees.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -92,20 +93,28 @@ class LambdaPalette:
     """Finite parameter sets used when spawning a blow-up chart family.
 
     ``positive`` lists the finite nonzero magnitudes; charts over a y-source
-    (parameter ranging over all of Q) also get the mirrored negatives."""
+    (parameter ranging over all of Q) also get the mirrored negatives.  Every
+    entry must be a positive rational (``int`` or ``Fraction``), checked in
+    the order given; they are kept as distinct ``Fraction``s, sorted."""
 
     positive: tuple = (Fraction(1, 2), Fraction(1), Fraction(2))
 
+    def __post_init__(self):
+        for v in self.positive:
+            if not isinstance(v, numbers.Rational):
+                raise ValueError(f"palette entries must be rationals, got {v!r}")
+            if v <= 0:
+                raise ValueError(f"palette entries must be positive, got {v}")
+        object.__setattr__(self, "positive", tuple(sorted(set(map(Fraction, self.positive)))))
+
     def nonneg(self, extra: Sequence[Fraction] = ()) -> list:
         """0, the positive palette plus nonnegative extras, then inf."""
-        vals = sorted({Fraction(v) for v in self.positive}
-                      | {Fraction(v) for v in extra if Fraction(v) > 0})
+        vals = sorted(set(self.positive) | {Fraction(v) for v in extra if Fraction(v) > 0})
         return [Fraction(0)] + vals + [INF]
 
     def signed(self, extra: Sequence[Fraction] = ()) -> list:
         """0, +-palette and nonzero extras, then +-inf."""
-        mags = {Fraction(v) for v in self.positive}
-        vals = sorted({s * v for v in mags for s in (1, -1)}
+        vals = sorted({s * v for v in self.positive for s in (1, -1)}
                       | {Fraction(v) for v in extra if Fraction(v) != 0})
         return [Fraction(0)] + vals + [INF, NEG_INF]
 
@@ -114,19 +123,12 @@ DEFAULT_PALETTE = LambdaPalette()
 
 
 def palette_from_spec(text: str) -> LambdaPalette:
-    """Parse a comma-separated list of positive rationals, e.g. "1/2,1,2"."""
-    vals = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        v = Fraction(piece)
-        if v <= 0:
-            raise ValueError(f"palette entries must be positive, got {piece}")
-        vals.append(v)
+    """Parse a comma-separated list of positive rationals, e.g. "1/2,1,2";
+    ``LambdaPalette`` checks that each is positive."""
+    vals = tuple(Fraction(piece) for piece in map(str.strip, text.split(",")) if piece)
     if not vals:
         raise ValueError("empty palette")
-    return LambdaPalette(tuple(sorted(set(vals))))
+    return LambdaPalette(vals)
 
 
 # -- serialization -----------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from gpseries.series import (
     Series,
     Signature,
+    coefficients_in_y,
     constant,
     insert_y,
     monomial,
@@ -175,6 +176,48 @@ def test_zero_solution_restriction_is_the_substitution(m, n):
 def test_solve_implicit_requires_unit_slope():
     with pytest.raises(DivisionError):
         solve_implicit(ps("y1^2 - x1", 1, 1))
+
+
+@pytest.mark.parametrize(
+    "text,m,n,prec",
+    [
+        ("y1^2 - x1", 1, 1, 8),  # no y_n term
+        ("x1*y1 - x1^2", 1, 1, 8),  # a slope that vanishes at the origin
+        ("y1 + y2^2 - x1", 1, 2, 8),  # the linear term is in y_1, not y_n
+        ("y1 - x1^2", 1, 1, 1),  # y_n cut at precision 1
+        ("y2 - x1^(1/3)", 1, 2, Fraction(1, 2)),  # y_n cut below precision 1
+        ("y2 + y1", 0, 2, 1),
+    ],
+)
+def test_solve_implicit_needs_the_y_n_term(text, m, n, prec):
+    with pytest.raises(DivisionError, match="^first-order coefficient is not a unit$"):
+        solve_implicit(ps(text, m, n, prec))
+
+
+def test_solve_implicit_slope_test_matches_the_coefficient_reference():
+    # the term y_n is present exactly when the Y_n-coefficient built by
+    # coefficients_in_y is a unit, which is how the slope was tested before
+    rng = random.Random(2718)
+    units = others = 0
+    for m, n in [(1, 1), (2, 1), (1, 2), (0, 2)]:
+        sig = Signature(m, n)
+        for _ in range(150):
+            g = random_series(rng, sig, Fraction(rng.randint(1, 9), rng.choice([1, 2])),
+                              nterms=rng.randint(0, 5))
+            g = g - constant(sig, g.constant_term(), g.precision)
+            if rng.random() < 0.5:
+                g = g + monomial(sig, [0] * m, [0] * (n - 1) + [1], g.precision, rng.randint(-2, 2))
+            lin = coefficients_in_y(g, n).get(1)
+            try:
+                solve_implicit(g)
+            except DivisionError as exc:
+                refused = str(exc) == "first-order coefficient is not a unit"
+            else:
+                refused = False
+            assert refused == (lin is None or not lin.is_unit()), g
+            units += not refused
+            others += refused
+    assert units >= 100 and others >= 100, (units, others)
 
 
 # -- unit roots ----------------------------------------------------------------------

@@ -13,7 +13,17 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from gpseries.series import Signature, Series, SeriesError, _leq, render
+from gpseries.division import regular_order
+from gpseries.series import (
+    Signature,
+    Series,
+    SeriesError,
+    _leq,
+    common_monomial,
+    divide_monomial,
+    monomial,
+    render,
+)
 from gpseries.transforms import BlowUpYX, TransformError, chain_to_json, pullback_chain
 from gpseries.trees import tree_from_json, tree_to_json
 from gpseries.monomialize import (
@@ -21,6 +31,7 @@ from gpseries.monomialize import (
     DivisionChainResult,
     EngineError,
     EngineOptions,
+    NormalForm,
     PrecisionExhausted,
     _Engine,
     _find_shear,
@@ -30,7 +41,7 @@ from gpseries.monomialize import (
     normal_form,
     rational_roots,
 )
-from conftest import ps, random_series
+from conftest import ps, random_series, random_unit
 
 SIG11 = Signature(1, 1)
 
@@ -56,6 +67,44 @@ def test_normal_form_allows_y_monomials():
     assert nf.monomial == ((Fraction(1),), (2,))
 
 
+def _normal_form_by_division(f):
+    """``normal_form`` as it was written before it looked the common monomial
+    up in f's terms: divide by it, then test the cofactor's constant term."""
+    if f.is_zero():
+        return None
+    exp = common_monomial(f)
+    cof = divide_monomial(f, exp)
+    if cof.is_unit():
+        return NormalForm(exp, cof)
+    return None
+
+
+def test_normal_form_matches_the_division_reference():
+    rng = random.Random(4242)
+    kinds = {"zero": 0, "normal": 0, "fractional": 0, "non-normal": 0}
+    sigs = [Signature(1, 1), Signature(2, 1), Signature(1, 2), Signature(2, 0), Signature(0, 2)]
+    for sig in sigs:
+        for k in range(300):
+            prec = Fraction(rng.randint(2, 16), rng.choice([1, 2, 3]))
+            xs = [Fraction(rng.randint(0, 3), rng.choice([1, 2, 3])) for _ in range(sig.m)]
+            ys = [rng.randint(0, 2) for _ in range(sig.n)]
+            mono = monomial(sig, xs, ys, prec + 3)
+            unit = random_unit(rng, sig, prec, nterms=rng.randint(0, 4))
+            f = [
+                mono * unit,  # normal, unless the monomial cuts it to zero
+                mono * random_series(rng, sig, prec, nterms=rng.randint(0, 4)),
+                unit - unit,
+                mono * unit + random_series(rng, sig, prec, nterms=1),
+            ][k % 4]
+            got, want = normal_form(f), _normal_form_by_division(f)
+            assert got == want, f
+            if got is not None:
+                assert list(got.unit.terms.items()) == list(want.unit.terms.items())
+                kinds["fractional"] += any(type(v) is Fraction for v in got.monomial[0])
+            kinds["zero" if f.is_zero() else "non-normal" if got is None else "normal"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
 def test_rational_roots():
     # t^2 - 3t + 2 = (t-1)(t-2)
     assert rational_roots([2, -3, 1]) == [1, 2]
@@ -70,6 +119,50 @@ def test_critical_lambdas_catches_diagonal_roots():
     assert critical_lambdas(g, ("y", 1), ("x", 1)) == [-1, 1]
     g2 = ps("y1^2 - 4*x1^2", 1, 1)
     assert 2 in critical_lambdas(g2, ("y", 1), ("x", 1))
+
+
+def _critical_lambdas_two_pass(g, src, tgt):
+    """``critical_lambdas`` as it was written with two passes over g's terms:
+    the minimal combined degree of the two axes first, then the edge
+    polynomial of the terms on those axes alone at that degree."""
+
+    def coord(exp, c):
+        return exp[0 if c[0] == "x" else 1][c[1] - 1]
+
+    mu = min((coord(e, src) + coord(e, tgt) for e in g.terms), default=None)
+    poly = {}
+    for exp, c in g.terms.items():
+        p, q = coord(exp, src), coord(exp, tgt)
+        if sum(exp[0]) + sum(exp[1]) - p - q != 0 or p + q != mu or p.denominator != 1:
+            continue
+        poly[int(p)] = poly.get(int(p), Fraction(0)) + c
+    if not poly:
+        return []
+    return rational_roots([poly.get(k, Fraction(0)) for k in range(max(poly) + 1)])
+
+
+def test_critical_lambdas_match_the_two_pass_reference():
+    rng = random.Random(5151)
+    found = 0
+    for sig in [Signature(1, 1), Signature(2, 1), Signature(1, 2), Signature(2, 0)]:
+        coords = [("x", i) for i in range(1, sig.m + 1)] + [("y", j) for j in range(1, sig.n + 1)]
+        for _ in range(150):
+            src, tgt = rng.sample(coords, 2)
+            # an edge of degree D on the two axes, planted below random terms
+            D = rng.randint(1, 4)
+            edge = {}
+            for p in range(D + 1):
+                e = {src: p, tgt: D - p}
+                exp = (
+                    tuple(e.get(("x", i), 0) for i in range(1, sig.m + 1)),
+                    tuple(e.get(("y", j), 0) for j in range(1, sig.n + 1)),
+                )
+                edge[exp] = rng.choice([-2, -1, 0, 0, 1, 3])
+            g = Series(sig, edge, 8) + random_series(rng, sig, nterms=rng.randint(0, 5))
+            want = _critical_lambdas_two_pass(g, src, tgt)
+            assert critical_lambdas(g, src, tgt) == want, (g, src, tgt)
+            found += bool(want)
+    assert found >= 100, found
 
 
 def test_rational_roots_beyond_a_trillion():
@@ -314,6 +407,32 @@ def test_find_shear_matches_the_branching_reference():
                     v == 0 and any(ys[k] for ys in part) for k, v in enumerate(got)
                 )
     assert shears >= 500 and zero_kept >= 100, (shears, zero_kept)
+
+
+def test_a_zero_shear_leaves_g_regular_of_its_y_order():
+    # once _find_shear returns the zero shear, the engine takes the y-order
+    # d0 of the x-free terms as the order of regularity: H(0, ..., 0, 1) != 0
+    # puts y_n^d0 in g, and no x-free term of g has a lower degree
+    rng = random.Random(808)
+    zero_shears = other = 0
+    for n in range(1, 5):
+        sig = Signature(rng.randint(0, 2), n)
+        for _ in range(300):
+            d0 = rng.randint(1, 4)
+            part = _homogeneous_part(rng, n, d0)
+            g = Series(sig, {((0,) * sig.m, ys): c for ys, c in part.items()}, 8)
+            g = g + random_series(rng, sig, nterms=rng.randint(0, 5))
+            g0 = {e[1]: c for e, c in g.terms.items() if not any(e[0])}
+            if not g0:
+                continue
+            d0 = min(map(sum, g0))
+            shear = _find_shear({ys: c for ys, c in g0.items() if sum(ys) == d0}, n, d0)
+            if shear is not None and not any(shear):
+                assert regular_order(g) == d0, g
+                zero_shears += 1
+            else:
+                other += 1
+    assert zero_shears >= 300 and other >= 300, (zero_shears, other)
 
 
 def _nonzero_draw(seed, sig, k, **kw):

@@ -23,7 +23,7 @@ from gpseries.transforms import (
     TransformError,
     Tschirnhausen,
 )
-from gpseries.monomialize import monomialize
+from gpseries.monomialize import EngineOptions, monomialize
 from conftest import ps
 
 SIG11 = Signature(1, 1)
@@ -60,6 +60,40 @@ def test_palette_from_spec():
         palette_from_spec("0,1")
     with pytest.raises(ValueError):
         palette_from_spec("abc")
+
+
+def test_palette_keeps_its_entries_as_sorted_distinct_fractions():
+    p = LambdaPalette((2, Fraction(1, 2), 1, Fraction(2)))
+    assert p.positive == (Fraction(1, 2), Fraction(1), Fraction(2))
+    assert all(type(v) is Fraction for v in p.positive)
+    assert p == DEFAULT_PALETTE
+
+
+def test_a_zero_palette_entry_is_refused_before_any_chart():
+    # it gave y1^2 - x1^2 two identical blowup_yx children at lam = 0
+    with pytest.raises(ValueError, match="^palette entries must be positive, got 0$"):
+        EngineOptions(palette=LambdaPalette((0, 1)))
+
+
+def test_a_negative_palette_entry_is_refused_before_the_run():
+    # it failed only mid-run, with a TransformError from an x-x chart family
+    with pytest.raises(ValueError, match="^palette entries must be positive, got -1$"):
+        LambdaPalette((-1,))
+    with pytest.raises(ValueError, match="got -1/2$"):
+        LambdaPalette((1, Fraction(-1, 2)))
+
+
+@pytest.mark.parametrize("entry", ["1", 0.5, None])
+def test_a_palette_entry_must_be_a_rational(entry):
+    with pytest.raises(ValueError, match="^palette entries must be rationals"):
+        LambdaPalette((1, entry))
+
+
+def test_palette_from_spec_reports_the_first_bad_entry():
+    with pytest.raises(ValueError, match="^palette entries must be positive, got 0$"):
+        palette_from_spec("1, 0, -1")
+    with pytest.raises(ValueError, match="^empty palette$"):
+        palette_from_spec(" , ")
 
 
 def test_manual_tree_branches():
