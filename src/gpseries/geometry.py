@@ -17,6 +17,7 @@ order.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,9 +25,19 @@ from itertools import combinations, product
 from typing import Optional, Sequence
 
 from .parser import BasicSetExpr
-from .series import Series, Signature, _evaluate_rounded, render, set_to_zero
+from .series import (
+    Series,
+    SeriesError,
+    Signature,
+    _evaluation,
+    _norm,
+    _point_ratios,
+    _ratio,
+    render,
+    set_to_zero,
+)
 from .monomialize import EngineOptions, NormalForm, division_chain
-from .transforms import _forward_walk, _inverse_walk, chain_sigs, chain_to_json
+from .transforms import _chain_maps, chain_to_json
 
 ZERO, POS, NEG = "zero", "pos", "neg"
 
@@ -90,10 +101,9 @@ class ParamPiece:
         }
 
     @cached_property
-    def _sigs(self) -> list:
-        """``chain_sigs`` of the chain, computed once for all the points a
-        piece maps."""
-        return chain_sigs(self.chain, self.sig)
+    def _walks(self) -> tuple:
+        """``_chain_maps`` of the chain: its walks, built once for every point."""
+        return _chain_maps(self.chain, self.sig)
 
     @cached_property
     def _frozen(self) -> tuple:
@@ -195,8 +205,7 @@ def sample_piece(piece: ParamPiece, rng: random.Random, radius: float):
         else:
             v = rng.uniform(radius * 1e-3, radius)
             coords.append(v if s == POS else -v)
-    reduced = _forward_walk(piece.chain, piece._sigs, coords)
-    return embed_zeros(piece, reduced)
+    return embed_zeros(piece, piece._walks[0](coords))
 
 
 def piece_covers(
@@ -207,33 +216,35 @@ def piece_covers(
 ) -> bool:
     """Whether the point lies in the image of the piece's sub-quadrant.
 
-    The numeric preimage misses the quadrant's faces by the truncation tail
-    of the chain, so the test clamps the preimage onto the closed quadrant,
-    maps it forward, and accepts on a relative round-trip error.  Every piece
-    lies in {x >= 0}, so a negative reduced x-coordinate is never covered;
-    a piece with no free coordinate covers every point on its hyperplanes.
-    ``ambient_sig`` is not read: a piece knows its frozen positions."""
+    The numeric preimage misses the quadrant's faces by the truncation tail of
+    the chain, so the test clamps the preimage onto the closed quadrant, maps
+    it forward, and accepts on a relative round-trip error.  Every piece lies
+    in {x >= 0}, so a negative reduced x-coordinate is never covered; a piece
+    with no free coordinate covers every point on its hyperplanes.
+    ``ambient_sig`` is not read: a piece knows its frozen positions.  A NaN or
+    an infinity raises ``SeriesError``; a round trip past the floats covers nothing."""
+    for pos, v in enumerate(ambient_point, 1):
+        if type(v) is not float or not math.isfinite(v):
+            _ratio(v, pos)  # raises, naming the position
     reduced = strip_zeros(piece, ambient_point)
     if reduced is None or any(v < 0 for v in reduced[: piece.sig.m]):
         return False
     if not reduced:
         return True
-    q = _inverse_walk(piece.chain, piece._sigs, reduced)
-    if q is None:
+    try:  # past the floats, inf - inf or inf * 0.0 is a NaN, which a later map raises on
+        q = piece._walks[1](reduced)
+        if q is None:
+            return False
+        clamped = [
+            0.0 if s == ZERO else max(v, 0.0) if s == POS else min(v, 0.0)
+            for s, v in zip(piece.quadrant.x + piece.quadrant.y, map(float, q))
+        ]
+        back = piece._walks[0](clamped)
+        scale = max(1e-12, max(abs(float(v)) for v in reduced))
+        err = max(abs(float(a) - float(b)) for a, b in zip(back, reduced))
+    except (SeriesError, OverflowError):
         return False
-    clamped = []
-    for v, s in zip(q, piece.quadrant.x + piece.quadrant.y):
-        fv = float(v)
-        if s == ZERO:
-            clamped.append(0.0)
-        elif s == POS:
-            clamped.append(max(fv, 0.0))
-        else:
-            clamped.append(min(fv, 0.0))
-    back = _forward_walk(piece.chain, piece._sigs, clamped)
-    scale = max(1e-12, max(abs(float(v)) for v in reduced))
-    err = max(abs(float(a) - float(b)) for a, b in zip(back, reduced))
-    return err <= tol * scale
+    return err <= tol * scale and not any(v != v for v in back)  # max() may skip a NaN
 
 
 def covering_fraction_for(
@@ -258,12 +269,14 @@ IN, OUT, UNKNOWN = "IN", "OUT", "UNKNOWN"
 
 def membership(bset: BasicSetExpr, point: Sequence) -> str:
     """Numeric membership of a point in the basic set, with an UNKNOWN verdict
-    when the truncation tail bound swamps the evaluated value."""
+    when the truncation tail bound swamps the evaluated value.  The point is
+    read once, for every constraint (all over ``bset.sig``)."""
+    ratios, norm = _point_ratios(bset.sig, point), _norm(point)
     any_unknown = False
     for conj in bset.pieces:
         verdict = IN
         for s, rel in conj:
-            v, tail = _evaluate_rounded(s, list(point))
+            v, tail = _evaluation(s, ratios, norm, True)
             if rel == "EQ0":
                 if abs(v) > tail:
                     verdict = OUT

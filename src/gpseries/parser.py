@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .series import Rational, Series, Signature, constant, monomial, x_var, y_var
+from .series import Rational, Series, Signature, SignatureMismatch, constant, monomial, x_var, y_var
 
 
 class ParseError(ValueError):
@@ -266,6 +266,12 @@ class BasicSetExpr:
 
     sig: Signature
     pieces: list[list[tuple[Series, str]]]  # relation is "EQ0" or "GT0"
+
+    def __post_init__(self):
+        # membership reads a point once, for every constraint, over ``sig``
+        for s in (s for conj in self.pieces for s, _ in conj):
+            if s.sig != self.sig:
+                raise SignatureMismatch(f"constraint over {s.sig} in a set over {self.sig}")
 
 
 def parse_basic_set(text: str, sig: Signature, precision: Rational) -> BasicSetExpr:

@@ -516,37 +516,51 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
     A fractional x-exponent is evaluated term by term, falling back to
     floats from the first power that is irrational.
 
-    ``_evaluate_rounded`` (membership) and ``_value`` (the float point maps)
-    round ``num / D`` once, to ``float(Fraction(num, D))`` or an infinity.
+    ``_evaluation`` with ``rounded`` (membership) and ``_value_at`` (the float
+    point maps) round ``num / D`` once, to ``float(Fraction(num, D))`` or an
+    infinity.
 
     The tail bound is C * ||p||^delta with C the sum of absolute
     coefficients and ||p|| the max-norm of the point, ``inf`` past the floats.
     """
-    return _evaluate(a, point, rounded=False)
+    return _evaluation(a, _point_ratios(a.sig, point), _norm(point), rounded=False)
 
 
-def _evaluate_rounded(a: Series, point: Sequence[Rational]) -> Evaluation:
-    """``evaluate`` with the value rounded once to ``float(value)``."""
-    return _evaluate(a, point, rounded=True)
-
-
-def _evaluate(a: Series, point: Sequence[Rational], rounded: bool) -> Evaluation:
-    value, table = _value(a, point, rounded), _eval_table(a)
+def _evaluation(a: Series, ratios: list, norm: float, rounded: bool) -> Evaluation:
+    """``evaluate`` at a point read by ``_point_ratios``, of max-norm ``norm``,
+    with the value rounded once to ``float(value)`` when ``rounded``."""
+    value, table = _value_at(a, ratios, rounded), _eval_table(a)
+    if not (table.csum and norm):
+        return Evaluation(value, 0.0)
     try:
-        norm = max((abs(float(p)) for p in point), default=0.0)
-        return Evaluation(value, table.csum * norm**table.fprec if norm > 0 else 0.0)
+        return Evaluation(value, table.csum * norm**table.fprec)
     except OverflowError:  # a finite point far outside the unit box
-        return Evaluation(value, math.inf if table.csum else 0.0)
+        return Evaluation(value, math.inf)
 
 
-def _value(a: Series, point: Sequence[Rational], rounded: bool) -> Union[Fraction, float]:
-    """The value of ``_evaluate``, with every check of the point."""
-    if len(point) != a.sig.m + a.sig.n:
-        raise SeriesError(f"point of length {len(point)} for signature {a.sig}")
+def _norm(point: Sequence[Rational]) -> float:
+    """The max-norm of a point, ``inf`` past the floats."""
+    try:
+        return max((abs(float(p)) for p in point), default=0.0)
+    except OverflowError:
+        return math.inf
+
+
+def _point_ratios(sig: Signature, point: Sequence[Rational]) -> list:
+    """The checks of a point before evaluation: ``point`` has the length of
+    ``sig``, every coordinate is finite and every x-coordinate is >= 0.
+    Returns each coordinate as ``_ratio`` reads it."""
+    if len(point) != sig.m + sig.n:
+        raise SeriesError(f"point of length {len(point)} for signature {sig}")
     ratios = [_ratio(p, i) for i, p in enumerate(point, 1)]
-    for i, (n, d) in enumerate(ratios[: a.sig.m], 1):
+    for i, (n, d) in enumerate(ratios[: sig.m], 1):
         if n < 0:
             raise SeriesError(f"negative x-coordinate {Fraction(n, d)} at position {i}")
+    return ratios
+
+
+def _value_at(a: Series, ratios: list, rounded: bool) -> Union[Fraction, float]:
+    """The value of ``evaluate`` at a point read by ``_point_ratios``."""
     table = _eval_table(a)
     if table.rows is None:
         total = _evaluate_by_terms(a, [Fraction(n, d) for n, d in ratios])

@@ -16,11 +16,13 @@ The point maps take float, Fraction and int coordinates.  An exact
 coordinate meets the exact chart values.  A float coordinate meets floats,
 and each exact chart value is rounded to a float only once: lam, c_k, gamma
 and 1/gamma keep a float copy, and a Tschirnhausen centre takes the value of
-h alone (``series._value``: exact sparse Horner, no tail bound), rounded
+h alone (``series._value_at``: exact sparse Horner, no tail bound), rounded
 once.  Python evaluates ``Fraction op float`` as ``float(Fraction) op float``,
 so the bits are those the exact values give.  A NaN coordinate that a map
-reads raises ``TransformError`` naming its position, at the cost of one
-comparison per coordinate read.
+reads raises ``TransformError`` naming its position.  Each transform builds
+its maps for an upstream signature once (``_maps``), binding the positions,
+constants and a centre's coordinates in the point; a chain's walks compose
+them (``_chain_maps``), and every point-map path goes through these builders.
 
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
@@ -42,9 +44,9 @@ import json
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import add, sub
-from typing import ClassVar, Optional, Sequence, Union
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 from .series import (
     Rational,
@@ -53,9 +55,10 @@ from .series import (
     Signature,
     SignatureMismatch,
     _over_lcm,
+    _point_ratios,
     _rational_power,
     _substitution_precision,
-    _value,
+    _value_at,
     _x_exponent,
     insert_y,
     render,
@@ -78,13 +81,7 @@ class NeedsRamification(TransformError):
 
 
 Point = list  # numeric point, entries Fraction or float
-
-
-def _constant(v, exact, rounded):
-    """The chart constant (or tuple of them) that meets the coordinate value
-    ``v``: its float copy ``rounded`` when ``v`` is a float, since ``exact op
-    v`` would round it so, else ``exact``."""
-    return rounded if isinstance(v, float) else exact
+PointMap = Callable[[Point], Optional[Point]]
 
 
 def _nan(p: Sequence, *read: int) -> TransformError:
@@ -112,12 +109,21 @@ def _monomial_pull(f: Series, sig2: Signature, precision: Rational, rewrite) -> 
 
 @dataclass(frozen=True)
 class ElementaryTransform:
-    """Base class.  Concrete variants implement ``validate``, ``pullback``,
-    ``forward_point_sig`` and ``inverse_point`` and set ``KIND``; by default
-    ``result_sig`` keeps the signature and ``to_json`` writes ``KIND`` and the
-    fields."""
+    """Base class.  Concrete variants implement ``validate``, ``pullback``
+    and ``_maps`` and set ``KIND``; by default ``result_sig`` keeps the
+    signature and ``to_json`` writes ``KIND`` and the fields.
+
+    ``_maps(sig)`` validates the upstream signature and builds the two point
+    maps; each rewrites the list it is given and returns it."""
 
     KIND: ClassVar[str]
+
+    def __init_subclass__(cls, **kwargs):
+        # each chart holds the point methods as its own, where the
+        # benchmark's tracer looks for them
+        super().__init_subclass__(**kwargs)
+        cls.forward_point_sig = ElementaryTransform.forward_point_sig
+        cls.inverse_point = ElementaryTransform.inverse_point
 
     def result_sig(self, sig: Signature) -> Signature:
         return sig
@@ -131,12 +137,12 @@ class ElementaryTransform:
     def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
         """Map a downstream point to its upstream image; sig is the upstream
         signature (needed to locate y-coordinates)."""
-        raise NotImplementedError
+        return self._maps(sig)[0](list(p))
 
     def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
         """Numeric preimage of an upstream point, or None when outside the
         chart's image (closed-form for every variant)."""
-        raise NotImplementedError
+        return self._maps(sig)[1](list(p))
 
     def to_json(self) -> dict:
         d = {"kind": self.KIND}
@@ -184,11 +190,6 @@ class _BlowUp(ElementaryTransform):
         if self.lam is INF:
             return self.j, self.i, Fraction(0)
         return self.i, self.j, self.lam
-
-    @cached_property
-    def _lam_float(self) -> float:
-        """The float of the chart's finite lam (0.0 for x-x and y-y lam = inf)."""
-        return float(self._chart()[2])
 
     def _pull(self, f: Series, s: int, t: int, v: int, lam: Fraction) -> Series:
         """f o (src <- tgt * (lam + v)), at f's precision.  At lam != 0 a term
@@ -238,28 +239,34 @@ class _BlowUp(ElementaryTransform):
         den = L * q**B
         return Series._trusted(sig2, {key: Fraction(n, den) for key, n in sums.items() if n}, f.precision)
 
-    def _forward(self, p: Sequence, s: int, t: int, v: int, lam: Fraction) -> Point:
-        w, a = p[v], p[t]
-        if w != w or a != a:
-            raise _nan(p, v, t)
-        q = list(p)
-        if v != s:  # x-x at lam > 0: y_1' becomes x_i
-            q.insert(s, q.pop(v))
-        q[s] = a * (_constant(w, lam, self._lam_float) + w)
-        return q
+    @staticmethod
+    def _chart_maps(s: int, t: int, v: int, lam: Fraction) -> tuple[PointMap, PointMap]:
+        """The point maps of ``src <- tgt * (lam + v)``.  A float coordinate
+        meets ``float(lam)``, since ``lam op float`` would round lam so."""
+        lam_float = float(lam)
 
-    def _inverse(self, p: Sequence, s: int, t: int, v: int, lam: Fraction):
-        a, b = p[s], p[t]
-        if a != a or b != b:
-            raise _nan(p, s, t)
-        if b == 0:
-            return None
-        ratio = a / b
-        q = list(p)
-        if v != s:  # x-x at lam > 0: x_i becomes y_1'
-            q.insert(v, q.pop(s))
-        q[v] = ratio - _constant(ratio, lam, self._lam_float)
-        return q
+        def forward(p):
+            w, a = p[v], p[t]
+            if w != w or a != a:
+                raise _nan(p, v, t)
+            if v != s:  # x-x at lam > 0: y_1' becomes x_i
+                p.insert(s, p.pop(v))
+            p[s] = a * ((lam_float if isinstance(w, float) else lam) + w)
+            return p
+
+        def inverse(p):
+            a, b = p[s], p[t]
+            if a != a or b != b:
+                raise _nan(p, s, t)
+            if b == 0:
+                return None
+            ratio = a / b
+            if v != s:  # x-x at lam > 0: x_i becomes y_1'
+                p.insert(v, p.pop(s))
+            p[v] = ratio - (lam_float if isinstance(ratio, float) else lam)
+            return p
+
+        return forward, inverse
 
 
 @dataclass(frozen=True)
@@ -296,20 +303,20 @@ class BlowUpXX(_BlowUp):
         i, j, lam = self._chart()
         return self._pull(f, i - 1, j - 1, f.sig.m - 1 if lam else i - 1, lam)
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
         i, j, lam = self._chart()
-        if lam:
-            return self._forward(p, i - 1, j - 1, sig.m - 1, lam)
-        a, b = p[i - 1], p[j - 1]
-        if a != a or b != b:
-            raise _nan(p, i - 1, j - 1)
-        q = list(p)
-        q[i - 1] = a * b
-        return q
+        s, t = i - 1, j - 1
+        forward, inverse = self._chart_maps(s, t, sig.m - 1 if lam else s, lam)
 
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        i, j, lam = self._chart()
-        return self._inverse(p, i - 1, j - 1, sig.m - 1 if lam else i - 1, lam)
+        def product(p):
+            a, b = p[s], p[t]
+            if a != a or b != b:
+                raise _nan(p, s, t)
+            p[s] = a * b
+            return p
+
+        return forward if lam else product, inverse
 
 
 @dataclass(frozen=True)
@@ -351,27 +358,30 @@ class BlowUpYX(_BlowUp):
             return _monomial_pull(f, self.result_sig(f.sig), f.precision, rewrite)
         return self._pull(f, m + self.i - 1, j, m + self.i - 1, self.lam)
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
         m, j = sig.m, self.j - 1
-        if isinstance(self.lam, str):  # x_j <- x_new * x_j, then the sign chart
+        if not isinstance(self.lam, str):
+            y = m + self.i - 1
+            return self._chart_maps(y, j, y, self.lam)
+        to_y, to_x = self._sign_chart._maps(sig)
+
+        def forward(p):  # x_j <- x_new * x_j, then the sign chart
             if p[j] != p[j]:  # the sign chart reads x_new
                 raise _nan(p, j)
-            q = list(p)
-            q[j] = p[m] * p[j]
-            return self._sign_chart._forward(q, m)
-        return self._forward(p, m + self.i - 1, j, m + self.i - 1, self.lam)
+            p[j] = p[m] * p[j]
+            return to_y(p)
 
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        m, j = sig.m, self.j - 1
-        if isinstance(self.lam, str):  # the sign chart, then x_j <- x_j / x_new
-            q = self._sign_chart._inverse(p, m)
-            if q is None or q[m] == 0:
+        def inverse(p):  # the sign chart, then x_j <- x_j / x_new
+            p = to_x(p)
+            if p is None or p[m] == 0:
                 return None
             if p[j] != p[j]:
                 raise _nan(p, j)
-            q[j] = p[j] / q[m]
-            return None if q[j] < 0 else q
-        return self._inverse(p, m + self.i - 1, j, m + self.i - 1, self.lam)
+            p[j] = p[j] / p[m]
+            return None if p[j] < 0 else p
+
+        return forward, inverse
 
 
 @dataclass(frozen=True)
@@ -397,13 +407,10 @@ class BlowUpYY(_BlowUp):
         m = f.sig.m
         return self._pull(f, m + i - 1, m + j - 1, m + i - 1, lam)
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
         i, j, lam = self._chart()
-        return self._forward(p, sig.m + i - 1, sig.m + j - 1, sig.m + i - 1, lam)
-
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        i, j, lam = self._chart()
-        return self._inverse(p, sig.m + i - 1, sig.m + j - 1, sig.m + i - 1, lam)
+        return self._chart_maps(sig.m + i - 1, sig.m + j - 1, sig.m + i - 1, lam)
 
 
 @dataclass(frozen=True)
@@ -441,25 +448,21 @@ class Tschirnhausen(ElementaryTransform):
         # substitute_y requires zero constant term; rep = y_j + h qualifies
         return substitute_y(f, {j: rep})
 
-    def _center(self, p: Sequence, sig: Signature) -> tuple[int, Rational]:
-        """Position ``k`` of y_j in ``p`` and h at the other coordinates,
-        rounded once to a float when ``p[k]`` is one."""
-        k = sig.m + self._index(sig) - 1
-        if p[k] != p[k]:  # _value checks the other coordinates
-            raise _nan(p, k)
-        return k, _value(self.h, list(p[:k]) + list(p[k + 1 :]), isinstance(p[k], float))
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
+        k, h = sig.m + self._index(sig) - 1, self.h
+        others = [c for c in range(sig.m + sig.n) if c != k]  # h's coordinates in p
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        k, hval = self._center(p, sig)
-        q = list(p)
-        q[k] = p[k] + hval
-        return q
+        def shift(op, p):
+            """p with ``op(y_j, h)``, h at the other coordinates rounded once
+            when y_j is a float."""
+            y = p[k]
+            if y != y:  # _point_ratios checks the other coordinates
+                raise _nan(p, k)
+            p[k] = op(y, _value_at(h, _point_ratios(h.sig, [p[c] for c in others]), isinstance(y, float)))
+            return p
 
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        k, hval = self._center(p, sig)
-        q = list(p)
-        q[k] = p[k] - hval
-        return q
+        return partial(shift, add), partial(shift, sub)
 
     def to_json(self) -> dict:
         return {
@@ -501,28 +504,22 @@ class Linear(ElementaryTransform):
             return f
         return substitute_y(f, reps)
 
-    @cached_property
-    def _c_float(self) -> tuple:
-        return tuple(map(float, self.c))
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
+        m, i, c, c_float = sig.m, sig.m + self.i - 1, self.c, tuple(map(float, self.c))
 
-    def _shift(self, p: Sequence, sig: Signature, op) -> Point:
-        """p with ``op(y_k, c_k * y_i)`` for each y_k, k < i."""
-        i = sig.m + self.i - 1
-        yi = p[i]
-        if yi != yi:
-            raise _nan(p, i)
-        q = list(p)
-        for k, ck in enumerate(_constant(yi, self.c, self._c_float), start=sig.m):
-            if p[k] != p[k]:
-                raise _nan(p, k)
-            q[k] = op(p[k], ck * yi)
-        return q
+        def shift(op, p):
+            """p with ``op(y_k, c_k * y_i)`` for each y_k, k < i."""
+            yi = p[i]
+            if yi != yi:
+                raise _nan(p, i)
+            for k, ck in enumerate(c_float if isinstance(yi, float) else c, start=m):
+                if p[k] != p[k]:
+                    raise _nan(p, k)
+                p[k] = op(p[k], ck * yi)
+            return p
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        return self._shift(p, sig, add)
-
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        return self._shift(p, sig, sub)
+        return partial(shift, add), partial(shift, sub)
 
 
 @dataclass(frozen=True)
@@ -552,39 +549,38 @@ class RamifyX(ElementaryTransform):
 
         return _monomial_pull(f, f.sig, _substitution_precision(f.precision, [gamma]), rewrite)
 
-    @cached_property
-    def _exponents(self) -> tuple:
-        """``(e, float(e))`` for the forward exponent gamma and the inverse 1/gamma."""
-        inverse = 1 / self.gamma
-        return (self.gamma, float(self.gamma)), (inverse, float(inverse))
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
+        k, gamma, root = self.i - 1, self.gamma, 1 / self.gamma
+        gamma_float, root_float = float(gamma), float(root)
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        v = p[self.i - 1]
-        if not v >= 0:  # negative or NaN; -0.0 is neither: it maps to 0
-            if v != v:
-                raise _nan(p, self.i - 1)
-            raise TransformError(f"negative x-coordinate {v} at position {self.i}")
-        q = list(p)
-        q[self.i - 1] = _power_numeric(v, *self._exponents[0])
-        return q
+        def forward(p):
+            v = p[k]
+            if not v >= 0:  # negative or NaN; -0.0 is neither: it maps to 0
+                if v != v:
+                    raise _nan(p, k)
+                raise TransformError(f"negative x-coordinate {v} at position {k + 1}")
+            p[k] = _power_numeric(v, gamma, gamma_float)
+            return p
 
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        v = p[self.i - 1]
-        if not v >= 0:
-            if v != v:
-                raise _nan(p, self.i - 1)
-            return None
-        q = list(p)
-        q[self.i - 1] = _power_numeric(v, *self._exponents[1])
-        return q
+        def inverse(p):
+            v = p[k]
+            if not v >= 0:
+                if v != v:
+                    raise _nan(p, k)
+                return None
+            p[k] = _power_numeric(v, root, root_float)
+            return p
+
+        return forward, inverse
 
 
 def _power_numeric(v, e: Fraction, e_float: float):
-    """v^e: exact for a positive ``Fraction`` with a rational power, else the
-    float power with ``e_float = float(e)``."""
+    """v^e for v >= 0 and e > 0: exact at 0 and for a ``Fraction`` with a
+    rational power, else the float power with ``e_float = float(e)``."""
     if v == 0:
-        return Fraction(0) if e > 0 else None
-    if isinstance(v, Fraction) and v > 0:
+        return Fraction(0)
+    if type(v) is not float and isinstance(v, Fraction):
         p = _rational_power(v, e)
         if p is not None:
             return p
@@ -621,30 +617,29 @@ class RamifyY(ElementaryTransform):
 
         return _monomial_pull(f, f.sig, f.precision, rewrite)
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        k = sig.m + self.i - 1
-        if p[k] != p[k]:
-            raise _nan(p, k)
-        q = list(p)
-        q[k] = self.sign * p[k] ** self.d
-        return q
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
+        k, d, sign, root = sig.m + self.i - 1, self.d, self.sign, 1.0 / self.d
 
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        k = sig.m + self.i - 1
-        v = self.sign * p[k]
-        if self.d % 2 == 1:
+        def forward(p):
+            if p[k] != p[k]:
+                raise _nan(p, k)
+            p[k] = sign * p[k] ** d
+            return p
+
+        def inverse(p):
+            v = sign * p[k]
             if v != v:
                 raise _nan(p, k)
-            root = math.copysign(abs(float(v)) ** (1.0 / self.d), v)
-        else:
-            if not v >= 0:
-                if v != v:
-                    raise _nan(p, k)
+            if d % 2 == 1:
+                p[k] = math.copysign(abs(float(v)) ** root, v)
+            elif v < 0:
                 return None
-            root = float(v) ** (1.0 / self.d)
-        q = list(p)
-        q[k] = root
-        return q
+            else:
+                p[k] = float(v) ** root
+            return p
+
+        return forward, inverse
 
 
 @dataclass(frozen=True)
@@ -679,28 +674,27 @@ class SignChart(ElementaryTransform):
         m = f.sig.m
         return _monomial_pull(f, self.result_sig(f.sig), f.precision, lambda e: self._to_x(e, m))
 
-    def _forward(self, p: Sequence, m: int) -> Point:
-        if p[m] != p[m]:
-            raise _nan(p, m)
-        nys = list(p[m + 1 :])
-        nys.insert(self.i - 1, self.sign * p[m])
-        return list(p[:m]) + nys
+    def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
+        self.validate(sig)
+        m, y, sign = sig.m, sig.m + self.i - 1, self.sign
 
-    def _inverse(self, p: Sequence, m: int) -> Optional[Point]:
-        v = self.sign * p[m + self.i - 1]
-        if not v >= 0:
-            if v != v:
-                raise _nan(p, m + self.i - 1)
-            return None
-        nys = list(p[m:])
-        del nys[self.i - 1]
-        return list(p[:m]) + [v] + nys
+        def forward(p):  # x_new, at position m, becomes y_i
+            if p[m] != p[m]:
+                raise _nan(p, m)
+            p.insert(y, sign * p.pop(m))
+            return p
 
-    def forward_point_sig(self, p: Sequence, sig: Signature) -> Point:
-        return self._forward(p, sig.m)
+        def inverse(p):
+            v = sign * p[y]
+            if not v >= 0:
+                if v != v:
+                    raise _nan(p, y)
+                return None
+            del p[y]
+            p.insert(m, v)
+            return p
 
-    def inverse_point(self, p: Sequence, sig: Signature) -> Optional[Point]:
-        return self._inverse(p, sig.m)
+        return forward, inverse
 
 
 _KINDS = {
@@ -818,36 +812,40 @@ def forward_chain(
     chain: Sequence[ElementaryTransform], p: Sequence, sig: Signature
 ) -> Point:
     """Image of a leaf point under nu_1 o ... o nu_N."""
-    return _forward_walk(chain, chain_sigs(chain, sig), p)
+    return _chain_maps(chain, sig)[0](p)
 
 
 def inverse_chain(
     chain: Sequence[ElementaryTransform], p: Sequence, sig: Signature
 ) -> Optional[Point]:
     """Numeric preimage of an upstream point through the whole chain."""
-    return _inverse_walk(chain, chain_sigs(chain, sig), p)
+    return _chain_maps(chain, sig)[1](p)
 
 
-def _forward_walk(
-    chain: Sequence[ElementaryTransform], sigs: Sequence[Signature], p: Sequence
-) -> Point:
-    """``forward_chain`` with the chain's ``chain_sigs`` already computed."""
-    q = list(p)
-    for t, s in zip(reversed(chain), reversed(sigs[:-1])):
-        q = t.forward_point_sig(q, s)
-    return q
+def _chain_maps(chain: Sequence[ElementaryTransform], sig: Signature) -> tuple[PointMap, PointMap]:
+    """The walks of ``forward_chain`` and ``inverse_chain`` over the upstream
+    ``sig``, with every transform's maps built once.  Neither walk changes
+    the point it is given."""
+    maps = []
+    for t in chain:
+        maps.append(t._maps(sig))
+        sig = t.result_sig(sig)
 
+    def forward(p):
+        q = list(p)
+        for step, _ in reversed(maps):
+            q = step(q)
+        return q
 
-def _inverse_walk(
-    chain: Sequence[ElementaryTransform], sigs: Sequence[Signature], p: Sequence
-) -> Optional[Point]:
-    """``inverse_chain`` with the chain's ``chain_sigs`` already computed."""
-    q = list(p)
-    for t, s in zip(chain, sigs[:-1]):
-        q = t.inverse_point(q, s)
-        if q is None:
-            return None
-    return q
+    def inverse(p):
+        q = list(p)
+        for _, step in maps:
+            q = step(q)
+            if q is None:
+                return None
+        return q
+
+    return forward, inverse
 
 
 def chain_to_json(chain: Sequence[ElementaryTransform]) -> list:

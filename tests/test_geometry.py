@@ -7,13 +7,19 @@ import random
 
 import pytest
 
-from gpseries.series import SeriesError, Signature
-from gpseries.parser import parse_basic_set
+from gpseries import geometry
+from gpseries.series import SeriesError, Signature, SignatureMismatch, _point_ratios
+from gpseries.parser import BasicSetExpr, parse_basic_set
+from gpseries.transforms import BlowUpXX
 from gpseries.geometry import (
     IN,
     OUT,
+    POS,
     UNKNOWN,
+    ZERO,
+    ParamPiece,
     Parametrization,
+    SubQuadrant,
     covering_fraction_for,
     enumerate_subquadrants,
     membership,
@@ -196,6 +202,68 @@ def test_negative_x_is_never_covered(text):
     param = parametrize_basic(bset(text))
     for point in ([-0.01, 0.01], [-0.01, -0.01], [-1e-6, 0.5]):
         assert not any(piece_covers(p, point, SIG11) for p in param.pieces)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0", "y1^2 - x1^3 = 0 & x1 > 0"],
+    ids=["cone", "cusp"],
+)
+def test_covering_reads_the_point_once(text):
+    param = parametrize_basic(bset(text))
+    # finite points whose round trip overflows (inf - inf on the cone) are
+    # not covered, on the cone as on the cusp
+    for point in ([1e300, 1e300], [1e200, 1.0]):
+        assert covering_fraction_for(param, [point], SIG11) == 0.0
+    # a NaN or an infinity raises before any chart reads it, on every piece
+    for point, pos in (([math.inf, 0.0], 1), ([0.5, math.nan], 2)):
+        for piece in param.pieces:
+            message = f"at position {pos} is not a finite number"
+            with pytest.raises(SeriesError, match=message) as err:
+                piece_covers(piece, point, SIG11)
+            assert type(err.value) is SeriesError
+        with pytest.raises(SeriesError, match=f"at position {pos}"):
+            covering_fraction_for(param, [point], SIG11)
+
+
+@pytest.mark.parametrize(
+    "chain, x_signs, point",
+    [
+        # the inverse gives x2 = inf; forward, inf * 0.0 is the last map's
+        # NaN, in a place max() skips
+        ([BlowUpXX(2, 1, 0)], (ZERO, POS), [1e-300, 1e300, 0.5]),
+        ([BlowUpXX(1, 2, 0)], (POS, ZERO), [1e300, 1e-300, 0.5]),
+        # forward, inf * 0.0 makes x2 NaN, which the next map reads
+        ([BlowUpXX(1, 2, 0), BlowUpXX(2, 1, 0)], (POS, POS), [1e300, 1e-300, 0.5]),
+    ],
+)
+def test_a_round_trip_past_the_floats_covers_nothing(chain, x_signs, point):
+    sig = Signature(2, 1)
+    piece = ParamPiece((), (), sig, chain, sig, SubQuadrant(x_signs, (POS,)))
+    assert piece_covers(piece, point, sig) is False
+
+
+def test_a_basic_set_keeps_one_signature():
+    # membership reads the point once for all constraints, so a constraint
+    # over another signature is refused when the set is built
+    b = bset("y1^2 - x1^2 = 0 & x1 > 0")
+    with pytest.raises(SignatureMismatch, match=r"constraint over .* in a set over"):
+        BasicSetExpr(Signature(2, 1), b.pieces)
+
+
+def test_membership_reads_the_point_once(monkeypatch):
+    # one read of the point serves all three constraints of the cone
+    reads = []
+
+    def counting(sig, point):
+        reads.append(list(point))
+        return _point_ratios(sig, point)
+
+    monkeypatch.setattr(geometry, "_point_ratios", counting)
+    b = bset("y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0")
+    assert membership(b, [0.01, 0.02]) == OUT
+    assert membership(b, [0.01, 0.01]) == UNKNOWN
+    assert reads == [[0.01, 0.02], [0.01, 0.01]]
 
 
 def test_piece_json_shape():

@@ -81,20 +81,31 @@ def to_expr(s: Series):
 
 
 def truncated_terms(expr, sig: Signature, precision) -> dict:
-    """Terms of ``expand(expr)`` of total degree below ``precision``."""
+    """Terms of ``expand(expr)`` of total degree below ``precision``.  A
+    nested power such as ``(x1^2)^(1/3)`` reads as ``x1^(2/3)``."""
     xs, ys = xsyms(sig.m), ysyms(sig.n)
     out = {}
     for term in sympy.Add.make_args(sympy.expand(expr)):
         if term == 0:
             continue
         c, rest = term.as_coeff_Mul()
-        powers = rest.as_powers_dict()
+        powers = sympy.powdenest(rest, force=True).as_powers_dict()
         ex = tuple(frac(powers.get(v, 0)) for v in xs)
         ey = tuple(int(powers.get(v, 0)) for v in ys)
         if sum(ex, Fraction(0)) + sum(ey) < precision:
             key = (ex, ey)
             out[key] = out.get(key, Fraction(0)) + frac(c)
     return {k: v for k, v in out.items() if v}
+
+
+def test_truncated_terms_reads_a_nested_power():
+    # x1 <- x1^2 on x1^(1/3): the term keys by x1^(2/3), not by x1^2
+    (x1,), (y1,) = xsyms(1), ysyms(1)
+    nested = (x1**2) ** sympy.Rational(1, 3)
+    assert truncated_terms(nested, Signature(1, 1), 8) == {((Fraction(2, 3),), (0,)): 1}
+    assert truncated_terms(3 * y1 * x1 * nested, Signature(1, 1), 8) == {
+        ((Fraction(5, 3),), (1,)): 3
+    }
 
 
 def assert_matches(result: Series, expr):

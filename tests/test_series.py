@@ -19,7 +19,9 @@ from gpseries.series import (
     constant,
     divide_monomial,
     evaluate,
-    _evaluate_rounded,
+    _evaluation,
+    _norm,
+    _point_ratios,
     insert_y,
     invert_unit,
     min_support,
@@ -42,6 +44,11 @@ from conftest import canonical_rational, ps, random_series, random_unit
 
 SIG11 = Signature(1, 1)
 SIG21 = Signature(2, 1)
+
+
+def _evaluate_rounded(a, point):
+    """The evaluation that ``membership`` reads: the value rounded once."""
+    return _evaluation(a, _point_ratios(a.sig, point), _norm(point), rounded=True)
 
 
 # -- strategies ----------------------------------------------------------------
