@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from itertools import groupby
 from operator import add, sub
-from typing import Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -516,9 +516,12 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
     A fractional x-exponent is evaluated term by term, falling back to
     floats from the first power that is irrational.
 
-    ``_evaluation`` with ``rounded`` (membership) and ``_value_at`` (the float
-    point maps) round ``num / D`` once, to ``float(Fraction(num, D))`` or an
-    infinity.
+    Each series builds its reader once (``_eval_table``: the scheme, its
+    active coordinates, their largest exponents and ``L``, bound in one
+    closure), and every evaluation is one call of it on a point read by
+    ``_point_ratios``: ``evaluate``, ``membership`` (through ``_evaluation``)
+    and the Tschirnhausen point maps.  ``membership`` and the float point
+    maps round ``num / D`` once, to ``float(Fraction(num, D))`` or an infinity.
 
     The tail bound is C * ||p||^delta with C the sum of absolute
     coefficients and ||p|| the max-norm of the point, ``inf`` past the floats.
@@ -529,7 +532,8 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
 def _evaluation(a: Series, ratios: list, norm: float, rounded: bool) -> Evaluation:
     """``evaluate`` at a point read by ``_point_ratios``, of max-norm ``norm``,
     with the value rounded once to ``float(value)`` when ``rounded``."""
-    value, table = _value_at(a, ratios, rounded), _eval_table(a)
+    table = _eval_table(a)
+    value = table.at(ratios, rounded)
     if not (table.csum and norm):
         return Evaluation(value, 0.0)
     try:
@@ -549,31 +553,18 @@ def _norm(point: Sequence[Rational]) -> float:
 def _point_ratios(sig: Signature, point: Sequence[Rational]) -> list:
     """The checks of a point before evaluation: ``point`` has the length of
     ``sig``, every coordinate is finite and every x-coordinate is >= 0.
-    Returns each coordinate as ``_ratio`` reads it."""
+    Returns each coordinate as ``_ratio`` reads it; a finite float is read
+    in place (``p - p`` is 0.0 exactly when ``p`` is finite)."""
     if len(point) != sig.m + sig.n:
         raise SeriesError(f"point of length {len(point)} for signature {sig}")
-    ratios = [_ratio(p, i) for i, p in enumerate(point, 1)]
-    for i, (n, d) in enumerate(ratios[: sig.m], 1):
-        if n < 0:
-            raise SeriesError(f"negative x-coordinate {Fraction(n, d)} at position {i}")
+    ratios, pos = [], 0
+    for p in point:  # a plain counter is cheaper than enumerate on a centre's one coordinate
+        pos += 1
+        ratios.append(p.as_integer_ratio() if type(p) is float and p - p == 0.0 else _ratio(p, pos))
+    for i in range(sig.m):
+        if ratios[i][0] < 0:
+            raise SeriesError(f"negative x-coordinate {Fraction(*ratios[i])} at position {i + 1}")
     return ratios
-
-
-def _value_at(a: Series, ratios: list, rounded: bool) -> Union[Fraction, float]:
-    """The value of ``evaluate`` at a point read by ``_point_ratios``."""
-    table = _eval_table(a)
-    if table.rows is None:
-        total = _evaluate_by_terms(a, [Fraction(n, d) for n, d in ratios])
-        return _rounded(total) if rounded else total
-    pairs = [ratios[k] for k in table.active]
-    den = table.den
-    for (_, d), top in zip(pairs, table.top):
-        den *= d**top
-    num = _fold(table.rows, pairs, table.top, 0) if pairs else table.rows
-    try:  # n / d is float(Fraction(n, d)): both round the exact quotient once
-        return num / den if rounded else Fraction(num, den)
-    except OverflowError:  # past the largest float, where rounding gives an infinity
-        return math.inf if num > 0 else -math.inf
 
 
 def _ratio(p, pos: int) -> tuple[int, int]:
@@ -596,6 +587,7 @@ class _EvalTable(NamedTuple):
     den: int  # lcm of the coefficient denominators
     csum: float  # sum of absolute coefficients
     fprec: float  # the precision
+    at: Callable[[list, bool], Union[Fraction, float]]  # the value at a point read by ``_point_ratios``
 
 
 def _eval_table(a: Series) -> _EvalTable:
@@ -609,15 +601,34 @@ def _eval_table(a: Series) -> _EvalTable:
     csum = float(sum(abs(c) for c in coeffs))
     fprec = float(a.precision)
     if _fractional(a.terms):
-        table = _EvalTable(None, (), (), 1, csum, fprec)
+
+        def at(ratios: list, rounded: bool) -> Union[Fraction, float]:
+            total = _evaluate_by_terms(a, [Fraction(n, d) for n, d in ratios])
+            return _rounded(total) if rounded else total
+
+        table = _EvalTable(None, (), (), 1, csum, fprec, at)
     else:
         exps = [xs + ys for xs, ys in a.terms]
         width = a.sig.m + a.sig.n
         top = [max((es[k] for es in exps), default=0) for k in range(width)]
         active = tuple(k for k in range(width) if top[k])
         den, nums = _over_lcm(coeffs)
-        rows = sorted(((tuple(es[k] for k in active), n) for n, es in zip(nums, exps)), reverse=True)
-        table = _EvalTable(_horner(rows), active, tuple(top[k] for k in active), den, csum, fprec)
+        rows = _horner(sorted(((tuple(es[k] for k in active), n) for n, es in zip(nums, exps)), reverse=True))
+        tops = tuple(top[k] for k in active)
+        every = len(active) == width  # then the point's ratios are the pairs
+
+        def at(ratios: list, rounded: bool) -> Union[Fraction, float]:
+            pairs = ratios if every else [ratios[k] for k in active]
+            d = den
+            for (_, dk), e in zip(pairs, tops):
+                d *= dk**e
+            num = _fold(rows, pairs, tops, 0) if pairs else rows
+            try:  # n / d is float(Fraction(n, d)): both round the exact quotient once
+                return num / d if rounded else Fraction(num, d)
+            except OverflowError:  # past the largest float, where rounding gives an infinity
+                return math.inf if num > 0 else -math.inf
+
+        table = _EvalTable(rows, active, tops, den, csum, fprec, at)
     object.__setattr__(a, "_eval", table)
     return table
 
@@ -632,11 +643,18 @@ def _horner(rows: list):
 
 def _fold(scheme: tuple, pairs: list, tops: tuple, k: int) -> int:
     """``sum c * prod_(i >= k) n_i^e_i * d_i^(tops[i] - e_i)`` over the scheme, with
-    ``(n_i, d_i) = pairs[i]``: by ``n^gap`` and ``d^gap`` between exponents."""
+    ``(n_i, d_i) = pairs[i]``: by ``n^gap`` and ``d^gap`` between exponents,
+    with no power at all for a gap of 1."""
     (n, d), prev, acc, dpow = pairs[k], tops[k], 0, 1
     for e, rest in scheme:
-        dpow *= d ** (prev - e)
-        acc = acc * n ** (prev - e) + dpow * (rest if type(rest) is int else _fold(rest, pairs, tops, k + 1))
+        if type(rest) is not int:
+            rest = _fold(rest, pairs, tops, k + 1)
+        if prev - e == 1:
+            dpow *= d
+            acc = acc * n + dpow * rest
+        else:
+            dpow *= d ** (prev - e)
+            acc = acc * n ** (prev - e) + dpow * rest
         prev = e
     return acc * n**prev
 
@@ -644,7 +662,11 @@ def _fold(scheme: tuple, pairs: list, tops: tuple, k: int) -> int:
 def _evaluate_by_terms(a: Series, pt: list[Fraction]) -> Union[Fraction, float]:
     """Term-by-term evaluation for a series with a fractional x-exponent: a
     term is exact up to its first irrational power and a float from there on,
-    and a float past the largest one is the infinity of its sign."""
+    and a float past the largest one is the infinity of its sign.  A float
+    term that left the floats on the way (an exact part rounded to 0.0 meets
+    an overflowing power as a NaN, a power overflows to an infinity, or an
+    underflow gives 0.0) is formed again by ``_scaled_term``; every finite
+    nonzero term keeps its bits."""
     total: Union[Fraction, float] = Fraction(0)
     for (xs, ys), c in a.terms.items():
         es = xs + ys
@@ -663,9 +685,43 @@ def _evaluate_by_terms(a: Series, pt: list[Fraction]) -> Union[Fraction, float]:
                 term = _rounded(term) * p
             else:
                 term = term * p if type(term) is Fraction else term * _rounded(p)
+        if type(term) is float and not (term and term - term == 0.0):  # 0.0, inf or NaN
+            term = _scaled_term(c, pt, es)
         exact = type(total) is type(term) is Fraction
         total = total + term if exact else _rounded(total) + _rounded(term)
     return total
+
+
+def _scaled_term(c: Fraction, pt: list[Fraction], es: tuple) -> float:
+    """The nonzero term ``c * prod pt_i^e_i`` from ``frexp``-scaled parts, as
+    ``m * 2^k`` with ``m`` a float and ``k`` an ``int``: the rational powers
+    stay exact, and an irrational one is ``(b * 2^j)^e = b^e * 2^frac(j e) *
+    2^floor(j e)`` with 1/2 <= b < 1, so no part leaves the floats before
+    the last step, which gives a subnormal, 0.0 or the infinity of its sign."""
+    exact, m, k = c, 1.0, 0
+    for base, e in zip(pt, es):
+        if not e:
+            continue
+        p = _rational_power(base, e)
+        if p is None:
+            b, j = _frexp(base)
+            whole = math.floor(j * e)
+            m, shift = math.frexp(m * b ** float(e) * 2.0 ** float(j * e - whole))
+            k += whole + shift
+        else:
+            exact *= p
+    b, j = _frexp(exact)
+    try:
+        return math.ldexp(m * b, k + j)
+    except OverflowError:
+        return math.copysign(math.inf, b)
+
+
+def _frexp(v: Fraction) -> tuple[float, int]:
+    """``math.frexp(v)`` for a nonzero rational, also one past the floats."""
+    k = v.numerator.bit_length() - v.denominator.bit_length()  # 1/2 < |v| / 2^k < 2
+    m, j = math.frexp(float(Fraction(v.numerator << max(-k, 0), v.denominator << max(k, 0))))
+    return m, j + k
 
 
 def _rounded(v: Union[Rational, float]) -> float:

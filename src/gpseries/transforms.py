@@ -16,13 +16,14 @@ The point maps take float, Fraction and int coordinates.  An exact
 coordinate meets the exact chart values.  A float coordinate meets floats,
 and each exact chart value is rounded to a float only once: lam, c_k, gamma
 and 1/gamma keep a float copy, and a Tschirnhausen centre takes the value of
-h alone (``series._value_at``: exact sparse Horner, no tail bound), rounded
-once.  Python evaluates ``Fraction op float`` as ``float(Fraction) op float``,
-so the bits are those the exact values give.  A NaN coordinate that a map
-reads raises ``TransformError`` naming its position.  Each transform builds
-its maps for an upstream signature once (``_maps``), binding the positions,
-constants and a centre's coordinates in the point; a chain's walks compose
-them (``_chain_maps``), and every point-map path goes through these builders.
+h alone (the reader of ``series._eval_table``: exact sparse Horner, no tail
+bound), rounded once.  Python evaluates ``Fraction op float`` as
+``float(Fraction) op float``, so the bits are those the exact values give.
+A NaN coordinate that a map reads raises ``TransformError`` naming its
+position.  Each transform builds its maps for an upstream signature once
+(``_maps``), binding the positions, constants, a centre's coordinates in the
+point and its reader; a chain's walks compose them (``_chain_maps``), and
+every point-map path goes through these builders.
 
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
@@ -54,11 +55,11 @@ from .series import (
     SeriesError,
     Signature,
     SignatureMismatch,
+    _eval_table,
     _over_lcm,
     _point_ratios,
     _rational_power,
     _substitution_precision,
-    _value_at,
     _x_exponent,
     insert_y,
     render,
@@ -450,8 +451,7 @@ class Tschirnhausen(ElementaryTransform):
 
     def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
         self.validate(sig)
-        k, h = sig.m + self._index(sig) - 1, self.h
-        others = [c for c in range(sig.m + sig.n) if c != k]  # h's coordinates in p
+        k, hsig, at = sig.m + self._index(sig) - 1, self.h.sig, _eval_table(self.h).at
 
         def shift(op, p):
             """p with ``op(y_j, h)``, h at the other coordinates rounded once
@@ -459,7 +459,7 @@ class Tschirnhausen(ElementaryTransform):
             y = p[k]
             if y != y:  # _point_ratios checks the other coordinates
                 raise _nan(p, k)
-            p[k] = op(y, _value_at(h, _point_ratios(h.sig, [p[c] for c in others]), isinstance(y, float)))
+            p[k] = op(y, at(_point_ratios(hsig, p[:k] + p[k + 1 :]), isinstance(y, float)))
             return p
 
         return partial(shift, add), partial(shift, sub)

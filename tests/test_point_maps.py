@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from gpseries import geometry
+from gpseries import geometry, transforms
 from gpseries.geometry import COVER_TOL, POS, ZERO, embed_zeros, parametrize_basic, piece_covers
 from gpseries.parser import parse_basic_set
 from gpseries.series import (
@@ -496,3 +496,25 @@ def test_covering_builds_each_piece_walks_once(monkeypatch):
                 piece_covers(piece, point, SIG11)
         assert sorted(built) == sorted(id(p.chain) for p in param.pieces), text
         assert set(built.values()) == {1}, text
+
+
+def test_covering_builds_each_centre_reader_once(monkeypatch):
+    # a Tschirnhausen centre's reader is bound when its maps are built, once
+    # per piece, not once per point
+    built = Counter()
+
+    def counting(h):
+        built[id(h)] += 1
+        return _eval_table(h)
+
+    monkeypatch.setattr(transforms, "_eval_table", counting)
+    bset = parse_basic_set("y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0", SIG11, 8)
+    param = parametrize_basic(bset)
+    centres = [t.h for p in param.pieces for t in p.chain if isinstance(t, Tschirnhausen)]
+    assert centres
+    built.clear()
+    rng = random.Random(3)
+    points = [[t, t] for t in (rng.uniform(1e-4, 0.01) for _ in range(500))]
+    assert geometry.covering_fraction_for(param, points, SIG11) == 1.0
+    assert sorted(built) == sorted(id(h) for h in centres)
+    assert set(built.values()) == {1}

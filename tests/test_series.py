@@ -1,9 +1,12 @@
 """Core series arithmetic: frozen oracles and ring-law properties."""
 
+import decimal
+from decimal import Decimal
 from fractions import Fraction
 import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -22,6 +25,7 @@ from gpseries.series import (
     _evaluation,
     _norm,
     _point_ratios,
+    _ratio,
     insert_y,
     invert_unit,
     min_support,
@@ -811,6 +815,49 @@ def test_evaluate_tail_bound_overflows_to_infinity():
     assert _evaluate_rounded(c, [2.0, 1e200]) == (-math.inf, math.inf)
     assert evaluate(c, [2.0, 1e200]).value == -math.inf
     assert evaluate(ps("x1^(3/2)", 1, 1), [1e300, 0.5]).value == math.inf
+
+
+def _power_by_decimal(point, es):
+    """prod point_i^e_i to 40 digits, each float read exactly by ``Decimal``."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return math.prod(Decimal(p) ** (Decimal(e.numerator) / e.denominator) for p, e in zip(point, es))
+
+
+def test_evaluate_keeps_a_finite_value_whose_factors_leave_the_floats():
+    # the exact part x1^2 rounds to 0.0 or x2^(3/2) overflows before the two
+    # meet; the value itself is a float
+    a = ps("x1^2*x2^(3/2)", 2, 0)
+    for point in ([1e-200, 1e300], [1e-100, 1e300], [1e200, 1e-300], [1e-200, 1e100]):
+        want = float(_power_by_decimal(point, [Fraction(2), Fraction(3, 2)]))
+        for got in (evaluate(a, point).value, _evaluate_rounded(a, point).value):
+            assert type(got) is float
+            assert math.isclose(got, want, rel_tol=1e-12), (point, got, want)
+    assert math.isclose(evaluate(a, [1e-200, 1e300]).value, 1e50, rel_tol=1e-12)
+    assert math.isclose(evaluate(a, [1e-100, 1e300]).value, 1e250, rel_tol=1e-12)
+    # a value past the floats is still the infinity of its sign
+    assert evaluate(ps("x1^(3/2)", 1, 1), [1e300, 0.5]).value == math.inf
+    assert evaluate(ps("-x1^2*x2^(3/2)", 2, 0), [1e300, 1e300]).value == -math.inf
+    # an underflowed term whose value is a subnormal float comes back as it
+    tiny = evaluate(a, [1e-170, 3e12]).value
+    want = float(_power_by_decimal([1e-170, 3e12], [Fraction(2), Fraction(3, 2)]))
+    assert type(tiny) is float and 0.0 < want < sys.float_info.min
+    assert abs(tiny - want) <= math.ulp(0.0)
+    # and a term that stays a finite nonzero float keeps its bits
+    b = ps("1/3*x1^2*x2^(3/2)", 2, 0)
+    assert evaluate(b, [0.5, 0.5]).value == float(Fraction(1, 12)) * 0.5**1.5
+
+
+def test_point_ratios_read_every_coordinate_as_ratio_does():
+    # a finite float is read in place; every other coordinate through _ratio
+    class Real(float):
+        pass
+
+    point = [0.5, Real(0.25), 3, Fraction(1, 3), -0.0, -2.5, 1e-300]
+    want = [_ratio(p, i) for i, p in enumerate(point, 1)]
+    assert _point_ratios(Signature(2, 5), point) == want
+    with pytest.raises(SeriesError, match="negative x-coordinate -1/4 at position 2"):
+        _point_ratios(SIG21, [0.5, -0.25, 1.0])
 
 
 def test_evaluate_is_exact_when_irrational_powers_vanish():

@@ -541,6 +541,16 @@ def test_tschirnhausen_point_maps_reject_non_finite_points():
                 apply([bad, 0.5], SIG11)
 
 
+def test_tschirnhausen_point_maps_keep_a_finite_centre_past_the_floats():
+    # h = x1^2*x2^(3/2) is 1e50 at (1e-200, 1e300), though x1^2 rounds to
+    # 0.0 and x2^(3/2) overflows on the way
+    t = [Tschirnhausen(ps("x1^2*x2^(3/2)", 2, 0))]
+    sig, p = Signature(2, 1), [1e-200, 1e300, 0.5]
+    for q, sign in ((forward_chain(t, p, sig), 1), (inverse_chain(t, p, sig), -1)):
+        assert q[:2] == p[:2]
+        assert math.isclose(q[2], sign * 1e50, rel_tol=1e-12)
+
+
 def test_ramify_x_forward_map_rejects_a_negative_x_coordinate():
     t = RamifyX(1, Fraction(1, 2))
     for bad in (-0.25, Fraction(-1, 4)):
