@@ -178,14 +178,14 @@ def _cmd_monomialize(args, merged) -> int:
         f"leaves: {len(leaves)}  height: {payload['stats']['height']}",
     ]
     for rec in leaves:
-        if rec.get("kind") == "normal":
+        if rec["kind"] == "normal":
             mono = rec["monomial"]
             lines.append(
                 f"  normal  sig={tuple(rec['sig'])}  x^{mono['x']} y^{mono['y']}"
                 f"  unit {rec['unit'][:60]}"
             )
         else:
-            lines.append(f"  {rec.get('kind', '?')}  sig={tuple(rec['sig'])}")
+            lines.append(f"  {rec['kind']}  sig={tuple(rec['sig'])}")
     _emit(payload, args.json, lines)
     return EXIT_OK
 
@@ -197,7 +197,7 @@ def _cmd_divide(args, merged) -> int:
     inputs = [parse_series(s, sig, merged["precision"]) for s in statements]
     result = division_chain(inputs, _engine_options(merged))
     payload = {
-        "inputs": [s for s in statements],
+        "inputs": list(statements),
         "sig": list(sig),
         "precision": str(merged["precision"]),
         "leaves": result.leaves,
@@ -216,8 +216,7 @@ def _cmd_divide(args, merged) -> int:
 
 
 def _cmd_parametrize(args, merged) -> int:
-    text = _read_input(args.input)
-    sig, statements = parse_file(text)
+    sig, statements = parse_file(_read_input(args.input))
     if len(statements) != 1:
         raise ParseError(f"expected one set description, got {len(statements)}", 0)
     bset = parse_basic_set(statements[0], sig, merged["precision"])
@@ -256,16 +255,13 @@ def main(argv=None) -> int:
         args = build_argparser().parse_args(argv)
         merged = _merge_options(args)
         return _COMMANDS[args.command](args, merged)
-    except (ConfigError, ParseError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_INPUT
     except PrecisionExhausted as exc:
         sys.stderr.write(f"precision exhausted: {exc}\n")
         return EXIT_PRECISION
     except CapExceeded as exc:
         sys.stderr.write(f"cap exceeded: {exc}\n")
         return EXIT_CAP
-    except SeriesError as exc:
+    except (ConfigError, ParseError, OSError, SeriesError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_INPUT
 

@@ -109,6 +109,29 @@ class NormalForm:
         }
 
 
+@dataclass(frozen=True)
+class LeafRecord:
+    """The engine's result where it stops at a leaf with series f: the
+    leaf's signature, f's precision p, and f's ``NormalForm`` X^beta * unit
+    (None at a zero leaf).  ``precision`` is p, read by
+    ``LeafResult.precision``; the unit's precision is p - deg beta, the
+    payload's ``"precision"`` at a normal leaf."""
+
+    sig: Signature
+    precision: Rational
+    form: Optional[NormalForm]
+
+    @property
+    def kind(self) -> str:
+        return "zero" if self.form is None else "normal"
+
+    def to_json(self) -> dict:
+        """The leaf's payload."""
+        if self.form is None:
+            return {"kind": "zero", "precision": str(self.precision)}
+        return self.form.to_json()
+
+
 def normal_form(f: Series) -> Optional[NormalForm]:
     """(monomial, unit) when f is monomial times unit, else None.
 
@@ -134,9 +157,7 @@ def _coord_get(exp: Exponent, coord) -> int | Fraction:
 
 
 def _coords(sig: Signature):
-    return [("x", i) for i in range(1, sig.m + 1)] + [
-        ("y", j) for j in range(1, sig.n + 1)
-    ]
+    return [("x", i) for i in range(1, sig.m + 1)] + [("y", j) for j in range(1, sig.n + 1)]
 
 
 def rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
@@ -349,7 +370,7 @@ class _Engine:
         finished before the step resumes, so the tree, the audit and the step
         counts come out in depth-first order, with no Python recursion.
         ``node`` loses any leaf result it held: only the engine sets one."""
-        node.payload, node.series = {}, None
+        node.payload, node.record = {}, None
         stack = [self._step(node, f, depth)]
         while stack:
             try:
@@ -368,13 +389,11 @@ class _Engine:
         if f.precision <= 0:
             raise PrecisionExhausted("no positive truncation order left")
         if f.is_zero():
-            node.payload = {"kind": "zero", "precision": str(f.precision)}
-            node.series = f
+            _stop(node, f, None)
             return
         beta = common_monomial(f)
         if beta in f.terms:  # the cofactor is a unit, as in ``normal_form``
-            node.payload = NormalForm(beta, divide_monomial(f, beta)).to_json()
-            node.series = f
+            _stop(node, f, NormalForm(beta, divide_monomial(f, beta)))
             self.log(depth, "leaf", monomial=node.payload["monomial"])
             return
         n = f.sig.n
@@ -460,14 +479,9 @@ class _Engine:
             if tgt_axis == "y":
                 lams.remove(NEG_INF)
         self.log(depth, action, **log, extras=[str(r) for r in extras])
+        chart = BlowUpXX if src_axis == "x" else BlowUpYX if tgt_axis == "x" else BlowUpYY
         for lam in lams:
-            if src_axis == "x":
-                t = BlowUpXX(i, j, lam)
-            elif tgt_axis == "x":
-                t = BlowUpYX(i, j, lam)
-            else:
-                t = BlowUpYY(i, j, lam)
-            yield _child(node, f, t, depth + lift)
+            yield _child(node, f, chart(i, j, lam), depth + lift)
 
     # -- regular order 1 ------------------------------------------------------
 
@@ -504,10 +518,7 @@ class _Engine:
         minimal = []
         if None not in forms.values():
             mus = {
-                i: (
-                    tuple(Fraction(v, i) for v in nf.monomial[0]),
-                    tuple(Fraction(v, i) for v in nf.monomial[1]),
-                )
+                i: tuple(tuple(Fraction(v, i) for v in part) for part in nf.monomial)
                 for i, nf in forms.items()
             }
             minimal = [
@@ -562,10 +573,8 @@ class _Engine:
             # re-derive the state and come back here for the alignment pass
             family.extend(set_to_zero(c, zero_y=(n,)) for c in coeffs.values())
         beta_sub = (beta[0], beta[1][:-1])
-        if any(v != 0 for v in beta_sub[0]) or any(v != 0 for v in beta_sub[1]):
-            family.append(
-                monomial_series(sub_sig, beta_sub[0], beta_sub[1], f.precision)
-            )
+        if any(beta_sub[0]) or any(beta_sub[1]):
+            family.append(monomial_series(sub_sig, *beta_sub, f.precision))
         parts = [s for s in family if not s.is_zero()]
         if not parts:
             raise EngineError("empty joint family")
@@ -577,9 +586,7 @@ class _Engine:
         if sub_root.is_leaf():
             # nothing to embed: resuming at this node would rerun this very
             # step, deterministically, until the step budget runs out
-            raise CapExceeded(
-                f"joint coefficient step at depth {depth} adds no chart"
-            )
+            raise CapExceeded(f"joint coefficient step at depth {depth} adds no chart")
         yield from self._embed_subtree(node, f, sub_root, sub_sig, depth)
 
     def _embed_subtree(self, node, f, sub_root, sub_sig, depth):
@@ -605,6 +612,13 @@ class _Engine:
                 yield child, fc, d
             sig = sub_node.transform.result_sig(sig)
             stack.extend((child, fc, c, sig, d) for c in reversed(sub_node.children))
+
+
+def _stop(node: TreeNode, f: Series, form: Optional[NormalForm]) -> None:
+    """Make ``node`` a leaf of series ``f`` with normal form ``form``: its
+    record and, built from that, its payload."""
+    node.record = LeafRecord(f.sig, f.precision, form)
+    node.payload = node.record.to_json()
 
 
 def _embed_transform(t: ElementaryTransform, sub_sig: Signature) -> ElementaryTransform:
@@ -661,26 +675,16 @@ class MonomialisationReport:
     audit: list
 
     def leaf_results(self) -> list[LeafResult]:
-        """One result per leaf, in branch order, read from the engine's
-        leaves: each leaf keeps the series the engine finished it with, so no
-        chain is pulled back again.  On a ``division_chain`` report that
-        series is the product of the inputs and their pairwise differences,
-        or below a refined leaf the product re-multiplied from its pulled
-        factors."""
+        """One result per leaf, in branch order, read from the ``LeafRecord``
+        the engine left there: no chain is pulled back and no unit divided
+        out again.  On a ``division_chain`` report the leaf series is the
+        product of the inputs and their pairwise differences, or below a
+        refined leaf the product re-multiplied from its pulled factors."""
         out = []
         for chain, leaf in self.tree.branches():
-            f = leaf.series
-            nf = normal_form(f)
-            out.append(
-                LeafResult(
-                    chain=chain,
-                    sig=f.sig,
-                    kind=leaf.payload.get("kind", "unknown"),
-                    monomial=nf.monomial if nf else None,
-                    unit=nf.unit if nf else None,
-                    precision=f.precision,
-                )
-            )
+            rec = leaf.record
+            monomial, unit = (rec.form.monomial, rec.form.unit) if rec.form else (None, None)
+            out.append(LeafResult(chain, rec.sig, rec.kind, monomial, unit, rec.precision))
         return out
 
     def to_json(self) -> dict:
@@ -690,7 +694,7 @@ class MonomialisationReport:
         branches = list(self.tree.branches())
         chains = _chains_json([chain for chain, _ in branches])
         leaves = [
-            {"chain": chain, "sig": list(leaf.series.sig), **leaf.payload}
+            {"chain": chain, "sig": list(leaf.record.sig), **leaf.payload}
             for chain, (_, leaf) in zip(chains, branches)
         ]
         return {
@@ -735,14 +739,13 @@ def division_chain(
 ) -> DivisionChainResult:
     """Monomialise several series at once so that, on every branch, each
     input becomes normal and their monomials are totally ordered by division.
-    Only the engine writes a node's ``payload`` and ``series``; the walk that
-    pulls the inputs back and refines unresolved leaves writes no node field."""
+    Only the engine writes a node's ``payload`` and ``record``, and it
+    clears both on every leaf it refines; the walk that pulls the inputs
+    back and refines unresolved leaves writes no node field."""
     if not inputs:
         raise EngineError("no inputs")
-    sig = inputs[0].sig
-    for s in inputs:
-        if s.sig != sig:
-            raise EngineError("inputs must share a signature")
+    if any(s.sig != inputs[0].sig for s in inputs):
+        raise EngineError("inputs must share a signature")
     live = [s for s in inputs if not s.is_zero()]
     if not live:
         raise EngineError("all inputs vanish to the given precision")
@@ -786,14 +789,7 @@ def division_chain(
     for chain, (_, leaf_sig, forms) in zip(chains, branches):
         if _first_incomparable_pair([nf.monomial for nf in forms if nf is not None]):
             raise EngineError("leaf monomials are not ordered by division")
-        leaves.append(
-            {
-                "chain": chain,
-                "sig": list(leaf_sig),
-                "factors": [
-                    {"kind": "zero"} if nf is None else nf.to_json() for nf in forms
-                ],
-            }
-        )
+        factors = [{"kind": "zero"} if nf is None else nf.to_json() for nf in forms]
+        leaves.append({"chain": chain, "sig": list(leaf_sig), "factors": factors})
     report = MonomialisationReport(prod, tree, engine.audit)
     return DivisionChainResult(list(inputs), report, leaves, branches)

@@ -525,6 +525,8 @@ def evaluate(a: Series, point: Sequence[Rational]) -> Evaluation:
 
     The tail bound is C * ||p||^delta with C the sum of absolute
     coefficients and ||p|| the max-norm of the point, ``inf`` past the floats.
+    A delta past the floats is read as inf: the bound is then 0.0 inside the
+    unit box, C on its boundary and inf outside it.
     """
     return _evaluation(a, _point_ratios(a.sig, point), _norm(point), rounded=False)
 
@@ -599,7 +601,7 @@ def _eval_table(a: Series) -> _EvalTable:
         pass
     coeffs = a.terms.values()
     csum = float(sum(abs(c) for c in coeffs))
-    fprec = float(a.precision)
+    fprec = _rounded(a.precision)
     if _fractional(a.terms):
 
         def at(ratios: list, rounded: bool) -> Union[Fraction, float]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
-from .series import Series, Signature
+from .series import Signature
 from .transforms import (
     _json_field,
     _json_signature,
@@ -26,21 +26,25 @@ from .transforms import (
     transform_from_json,
 )
 
+if TYPE_CHECKING:
+    from .monomialize import LeafRecord
+
 
 @dataclass
 class TreeNode:
     """One node; ``transform`` is the edge from the parent (None at the root).
 
-    ``payload`` holds the engine's result at a leaf, as JSON.  ``series`` is
-    the engine's own series at a leaf, the one it found normal or zero there
-    (None on inner nodes and on trees read back from JSON); it is not
-    serialised, compared or shown.  Only the engine writes the two: it sets
-    them where it stops at a leaf and clears them on a node it grows."""
+    ``record`` is the engine's result at a leaf (``LeafRecord``: the leaf's
+    signature, its series' precision and normal form), and ``payload`` is
+    that record as JSON.  Only the engine writes the two: it sets them where
+    it stops at a leaf and clears them on a node it grows.  ``record`` is
+    None on inner nodes and on trees read back from JSON, which keep the
+    payload only; it is not serialised, compared or shown."""
 
     transform: Optional[ElementaryTransform] = None
     children: list["TreeNode"] = field(default_factory=list)
     payload: dict = field(default_factory=dict)
-    series: Optional[Series] = field(default=None, compare=False, repr=False)
+    record: Optional[LeafRecord] = field(default=None, compare=False, repr=False)
 
     def is_leaf(self) -> bool:
         return not self.children

@@ -261,6 +261,40 @@ PINNED_OUTPUTS = {
 }
 
 
+# the text output of ``monomialize``: one line per leaf, a normal leaf with
+# its monomial and unit, a zero leaf with its signature only
+PINNED_TEXT = {
+    "cusp": (
+        "vars x:1 y:1\ny1^2 - x1^3;\n",
+        [
+            "input: y1^2 - x1^3",
+            "leaves: 9  height: 2",
+            "  normal  sig=(1, 1)  x^['2'] y^[0]  unit -1 + y1^2",
+            "  normal  sig=(1, 1)  x^['2'] y^[0]  unit 3 - 4*y1 + y1^2",
+            "  normal  sig=(1, 1)  x^['2'] y^[1]  unit -2 + y1",
+            "  normal  sig=(1, 1)  x^['2'] y^[0]  unit -3/4 - y1 + y1^2",
+            "  normal  sig=(1, 1)  x^['2'] y^[0]  unit -3/4 + y1 + y1^2",
+            "  normal  sig=(1, 1)  x^['2'] y^[1]  unit 2 + y1",
+            "  normal  sig=(1, 1)  x^['2'] y^[0]  unit 3 + 4*y1 + y1^2",
+            "  normal  sig=(2, 0)  x^['0', '2'] y^[]  unit 1 - x1^2",
+            "  normal  sig=(2, 0)  x^['0', '2'] y^[]  unit 1 - x1^2",
+        ],
+    ),
+    "zero": (
+        "vars x:1 y:1\n0;\n",
+        ["input: 0", "leaves: 1  height: 0", "  zero  sig=(1, 1)"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TEXT)
+def test_monomialize_text_lines_are_pinned(tmp_path, capsys, name):
+    text, lines = PINNED_TEXT[name]
+    path = write(tmp_path, "in.txt", text)
+    assert main(["monomialize", path]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
 @pytest.mark.parametrize("name", PINNED_OUTPUTS)
 def test_json_output_bytes_are_pinned(tmp_path, capsys, name):
     command, text, digest = PINNED_OUTPUTS[name]

@@ -77,6 +77,14 @@ def test_membership_is_unknown_where_the_tail_bound_overflows():
     assert membership(bset("x1^(1/3)*y1^2 > 0"), [2.0, 1e200]) == UNKNOWN
 
 
+def test_membership_at_a_precision_past_the_floats():
+    # the tail bound is 0.0 inside the unit box and inf outside it
+    b = parse_basic_set("y1^2 - x1^3 = 0", Signature(1, 1), Fraction(10) ** 400)
+    assert membership(b, [0.25, 0.125]) == IN  # on the cusp exactly
+    assert membership(b, [0.01, 0.001]) == OUT  # the floats miss the cusp
+    assert membership(b, [4.0, 8.0]) == UNKNOWN
+
+
 # -- parametrisation --------------------------------------------------------------
 
 

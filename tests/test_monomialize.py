@@ -44,6 +44,8 @@ from gpseries.monomialize import (
 from conftest import ps, random_series, random_unit
 
 SIG11 = Signature(1, 1)
+# the module itself: the package's ``monomialize`` attribute is the function
+monomialize_module = sys.modules["gpseries.monomialize"]
 
 
 # -- helpers --------------------------------------------------------------------
@@ -276,8 +278,10 @@ def test_report_leaves_use_exact_pullbacks(text, m, n):
     assert len(leaves) == len(report.tree.leaves())
     json_sigs = [record["sig"] for record in report.to_json()["leaves"]]
     assert json_sigs == [list(leaf.sig) for leaf in leaves]
-    # the engine's leaf series stay out of the tree's JSON and equality
-    assert tree_from_json(tree_to_json(report.tree)) == report.tree
+    # the engine's leaf records stay out of the tree's JSON and equality
+    back = tree_from_json(tree_to_json(report.tree))
+    assert back == report.tree
+    assert all(leaf.record is None for leaf in back.leaves())
     for leaf in leaves:
         pulled = pullback_chain(leaf.chain, report.input)
         nf = normal_form(pulled)
@@ -289,6 +293,34 @@ def test_report_leaves_use_exact_pullbacks(text, m, n):
         assert leaf.monomial == nf.monomial
         assert render(leaf.unit) == render(nf.unit)
         assert leaf.unit.precision == nf.unit.precision
+
+
+def _leaf_results_and_divisions(report):
+    """``report.leaf_results()`` and the names of the ``normal_form`` and
+    ``divide_monomial`` calls made while it ran."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("normal_form", "divide_monomial"):
+            mp.setattr(monomialize_module, name, counting(name, getattr(monomialize_module, name)))
+        results = report.leaf_results()
+    return results, calls
+
+
+@pytest.mark.parametrize("text,m,n", NAMED_INPUTS)
+def test_leaf_results_divide_nothing(text, m, n):
+    # the leaves hold the engine's normal forms; reading them divides nothing
+    report = monomialize(ps(text, m, n))
+    results, calls = _leaf_results_and_divisions(report)
+    assert calls == []
+    assert len(results) == len(report.tree.leaves())
 
 
 def test_named_hard_cases():
@@ -595,7 +627,7 @@ def test_division_chain_refinement_without_charts_fails_fast():
 
 def test_refined_leaves_keep_no_result():
     # family 1 refines two leaves of the product's tree; a node the engine
-    # grows holds no payload or series, and every leaf holds both
+    # grows holds no payload or record, and every leaf holds both
     res = division_chain([ps(t, 1, 1) for t in CHAIN_FAMILIES[1]])
     leaves = {id(leaf) for leaf in res.report.tree.leaves()}
     stack = [res.report.tree.root]
@@ -603,9 +635,17 @@ def test_refined_leaves_keep_no_result():
         node = stack.pop()
         stack.extend(node.children)
         if id(node) in leaves:
-            assert node.payload and node.series is not None
+            assert node.payload and node.record is not None
+            assert node.payload == node.record.to_json()
         else:
-            assert node.payload == {} and node.series is None
+            assert node.payload == {} and node.record is None
+
+
+def test_refined_leaf_results_divide_nothing():
+    res = division_chain([ps(t, 1, 1) for t in CHAIN_FAMILIES[1]])
+    results, calls = _leaf_results_and_divisions(res.report)
+    assert calls == []
+    assert [r.kind for r in results] == [leaf.payload["kind"] for leaf in res.report.tree.leaves()]
 
 
 def test_division_chain_names_the_step_of_a_failing_pull(monkeypatch):

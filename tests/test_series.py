@@ -817,6 +817,16 @@ def test_evaluate_tail_bound_overflows_to_infinity():
     assert evaluate(ps("x1^(3/2)", 1, 1), [1e300, 0.5]).value == math.inf
 
 
+def test_evaluate_at_a_precision_past_the_floats():
+    # the precision rounds to inf, so C * ||p||^inf is 0.0 inside the unit
+    # box, C on its boundary and inf outside it; the value stays exact
+    a = ps("y1^2 - x1^3", 1, 1, Fraction(10) ** 400)
+    assert evaluate(a, [Fraction(1, 4), Fraction(1, 8)]) == (0, 0.0)
+    assert evaluate(a, [1, 1]) == (0, 2.0)
+    assert evaluate(a, [4, 8]) == (0, math.inf)
+    assert _evaluate_rounded(a, [0.5, 0.25]) == (-0.0625, 0.0)
+
+
 def _power_by_decimal(point, es):
     """prod point_i^e_i to 40 digits, each float read exactly by ``Decimal``."""
     with decimal.localcontext() as ctx:
