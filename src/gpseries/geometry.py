@@ -106,6 +106,10 @@ class ParamPiece:
         return _chain_maps(self.chain, self.sig)
 
     @cached_property
+    def _signs(self) -> tuple:  # the quadrant's signs, x-variables then y-variables
+        return self.quadrant.x + self.quadrant.y
+
+    @cached_property
     def _frozen(self) -> tuple:
         """0-based ambient positions of the frozen coordinates, ascending."""
         m = self.sig.m + len(self.zero_x)
@@ -199,7 +203,7 @@ def strip_zeros(piece: ParamPiece, ambient_point: Sequence[float]):
 def sample_piece(piece: ParamPiece, rng: random.Random, radius: float):
     """A random ambient point in the image of the piece's sub-quadrant."""
     coords = []
-    for s in piece.quadrant.x + piece.quadrant.y:
+    for s in piece._signs:
         if s == ZERO:
             coords.append(0.0)
         else:
@@ -220,9 +224,14 @@ def piece_covers(
     the chain, so the test clamps the preimage onto the closed quadrant, maps
     it forward, and accepts on a relative round-trip error.  Every piece lies
     in {x >= 0}, so a negative reduced x-coordinate is never covered; a piece
-    with no free coordinate covers every point on its hyperplanes.
-    ``ambient_sig`` is not read: a piece knows its frozen positions.  A NaN or
-    an infinity raises ``SeriesError``; a round trip past the floats covers nothing."""
+    with no free coordinate covers every point on its hyperplanes.  The round
+    trip reads a centre once where its coordinates repeat (``Tschirnhausen``).
+    ``ambient_sig`` is not read: a piece knows its frozen positions.  A point of
+    the wrong length, a NaN or an infinity raises ``SeriesError``; a round trip
+    past the floats covers nothing."""
+    m, n = piece.sig.m + len(piece.zero_x), piece.sig.n + len(piece.zero_y)
+    if len(ambient_point) != m + n:
+        raise SeriesError(f"point of length {len(ambient_point)} for signature {Signature(m, n)}")
     for pos, v in enumerate(ambient_point, 1):
         if type(v) is not float or not math.isfinite(v):
             _ratio(v, pos)  # raises, naming the position
@@ -235,16 +244,22 @@ def piece_covers(
         q = piece._walks[1](reduced)
         if q is None:
             return False
-        clamped = [
-            0.0 if s == ZERO else max(v, 0.0) if s == POS else min(v, 0.0)
-            for s, v in zip(piece.quadrant.x + piece.quadrant.y, map(float, q))
+        clamped = [  # clamped as max(v, 0.0) / min(v, 0.0) would: a NaN and -0.0 stay
+            0.0 if s == ZERO or (v < 0.0 if s == POS else v > 0.0) else v
+            for s, v in zip(piece._signs, map(float, q))
         ]
-        back = piece._walks[0](clamped)
-        scale = max(1e-12, max(abs(float(v)) for v in reduced))
-        err = max(abs(float(a) - float(b)) for a, b in zip(back, reduced))
+        scale, err = 1e-12, 0.0
+        for a, b in zip(piece._walks[0](clamped), reduced):
+            a, b = float(a), float(b)
+            if a != a:
+                return False  # a NaN in the round trip covers nothing
+            if abs(b) > scale:
+                scale = abs(b)
+            if abs(a - b) > err:
+                err = abs(a - b)
     except (SeriesError, OverflowError):
         return False
-    return err <= tol * scale and not any(v != v for v in back)  # max() may skip a NaN
+    return err <= tol * scale
 
 
 def covering_fraction_for(

@@ -22,8 +22,9 @@ bound), rounded once.  Python evaluates ``Fraction op float`` as
 A NaN coordinate that a map reads raises ``TransformError`` naming its
 position.  Each transform builds its maps for an upstream signature once
 (``_maps``), binding the positions, constants, a centre's coordinates in the
-point and its reader; a chain's walks compose them (``_chain_maps``), and
-every point-map path goes through these builders.
+point and its reader, whose last read the centre's two maps share; a chain's
+walks compose them (``_chain_maps``), and every point-map path goes through
+these builders.
 
 Infinity chart parameters are the strings ``"inf"`` / ``"-inf"``, held as the
 module's ``INF`` / ``NEG_INF`` objects so that a chart tests for them by
@@ -452,14 +453,23 @@ class Tschirnhausen(ElementaryTransform):
     def _maps(self, sig: Signature) -> tuple[PointMap, PointMap]:
         self.validate(sig)
         k, hsig, at = sig.m + self._index(sig) - 1, self.h.sig, _eval_table(self.h).at
+        last = (None, None, None)  # the last read, (other coordinates, rounded, h), replaced whole
 
         def shift(op, p):
             """p with ``op(y_j, h)``, h at the other coordinates rounded once
-            when y_j is a float."""
+            when y_j is a float.  The two maps share the last read: a round
+            trip reads h at the same coordinates twice, and ``==`` compares
+            exact values, so equal coordinates give the same h."""
+            nonlocal last
             y = p[k]
             if y != y:  # _point_ratios checks the other coordinates
                 raise _nan(p, k)
-            p[k] = op(y, at(_point_ratios(hsig, p[:k] + p[k + 1 :]), isinstance(y, float)))
+            rest, rounded = p[:k] + p[k + 1 :], isinstance(y, float)
+            seen, was_rounded, h = last
+            if rounded is not was_rounded or rest != seen:
+                h = at(_point_ratios(hsig, rest), rounded)
+                last = rest, rounded, h
+            p[k] = op(y, h)
             return p
 
         return partial(shift, add), partial(shift, sub)

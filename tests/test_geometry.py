@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 import math
 import random
+import re
 
 import pytest
 
@@ -232,6 +233,29 @@ def test_covering_reads_the_point_once(text):
             assert type(err.value) is SeriesError
         with pytest.raises(SeriesError, match=f"at position {pos}"):
             covering_fraction_for(param, [point], SIG11)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0", "y1^2 - x1^3 = 0 & x1 > 0"],
+    ids=["cone", "cusp"],
+)
+@pytest.mark.parametrize("point", [[0.01], [0.01, 0.001, 0.5]], ids=["1", "3"])
+def test_covering_refuses_a_point_of_the_wrong_length(text, point):
+    # the cusp once covered a point of length 3, and the cone read it as
+    # uncovered or raised IndexError; every piece now raises as membership does
+    b = bset(text)
+    with pytest.raises(SeriesError) as err:
+        membership(b, point)
+    message = str(err.value)
+    assert message == f"point of length {len(point)} for signature {SIG11}"
+    param = parametrize_basic(b)
+    for piece in param.pieces:
+        with pytest.raises(SeriesError) as err:
+            piece_covers(piece, point, SIG11)
+        assert str(err.value) == message
+    with pytest.raises(SeriesError, match=re.escape(message)):
+        covering_fraction_for(param, [point], SIG11)
 
 
 @pytest.mark.parametrize(

@@ -6,9 +6,9 @@ Before each transform built its maps once, every chart class had its own
 Those bodies are kept here, chart by chart, as the reference (``_OLD``), with
 the centre's checked evaluation ``_old_value``.  ``_forward_by_steps`` and
 ``_inverse_by_steps`` walk them.  The walks of ``_chain_maps`` are built once
-and applied to many points, so a map that kept state from one point to the
-next, shared a list across steps, or computed a chart differently would
-disagree with them.
+and applied to many points, so a map whose state from one point changed the
+next point's value, shared a list across steps, or computed a chart
+differently would disagree with them.
 """
 
 from collections import Counter
@@ -21,7 +21,7 @@ import pytest
 
 from gpseries import geometry, transforms
 from gpseries.geometry import COVER_TOL, POS, ZERO, embed_zeros, parametrize_basic, piece_covers
-from gpseries.parser import parse_basic_set
+from gpseries.parser import parse_basic_set, parse_series
 from gpseries.series import (
     Series,
     SeriesError,
@@ -29,6 +29,7 @@ from gpseries.series import (
     _eval_table,
     _evaluate_by_terms,
     _fold,
+    _point_ratios,
     _ratio,
     _rational_power,
     _rounded,
@@ -518,3 +519,45 @@ def test_covering_builds_each_centre_reader_once(monkeypatch):
     assert geometry.covering_fraction_for(param, points, SIG11) == 1.0
     assert sorted(built) == sorted(id(h) for h in centres)
     assert set(built.values()) == {1}
+
+
+def test_covering_reads_each_repeated_centre_once(monkeypatch):
+    # the forward walk reads each centre at coordinates where the inverse walk
+    # has just read it; the centre maps keep their last read, so the first 500
+    # on-set cone points take 1732 reads, where one read per call took 3000
+    reads = []
+
+    def counting(sig, point):
+        reads.append(point)
+        return _point_ratios(sig, point)
+
+    monkeypatch.setattr(transforms, "_point_ratios", counting)
+    param = parametrize_basic(parse_basic_set("y1^2 - x1^2 = 0 & x1 > 0 & y1 > 0", SIG11, 8))
+    on, _ = _acceptance_7_points()["cone"]
+    assert geometry.covering_fraction_for(param, on[:500], SIG11) == 1.0
+    assert len(reads) == 1732
+
+
+def test_the_centre_maps_keep_an_exact_last_read():
+    # one built map pair, whose two maps share the last read: a read is kept
+    # for equal other coordinates and the same rounding, equal values of
+    # other types included, and a read that raises keeps nothing
+    t = Tschirnhausen(parse_series("1/3*x1^2 + 2*x1^5", Signature(1, 0), 8))
+    x, y = 0.3, -0.2
+    for apply, old in zip(t._maps(SIG11), _OLD[Tschirnhausen]):
+
+        def check(p):
+            out = _outcome(lambda q: apply(list(q)), p)
+            assert out == _outcome(lambda q: old(t, q, SIG11), p), p
+            return out
+
+        assert check([x, y])[1][0] == "float"
+        assert check([Fraction(x), Fraction(y)])[1][0] == "Fraction"  # exact after a float read
+        assert check([x, y])[1][0] == "float"
+        for p in ([Fraction(x), y], [x, Fraction(y)], [0, 0.5], [0.0, 0.5], [x, y]):
+            check(p)
+        # after a stored read, a NaN or a negative x-coordinate raises, each time
+        for p in ([math.nan, y], [-0.25, y], [x, math.nan]):
+            for _ in range(2):
+                assert check(p)[0] == "raise"
+        check([x, y])
